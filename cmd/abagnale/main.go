@@ -70,14 +70,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
 func main() {
-	// A copy of this binary exec'd by -shard-workers detours into the
-	// worker loop here, before any flag parsing.
-	shard.MaybeRunWorker()
 	var (
 		dslName = flag.String("dsl", "", "sub-DSL to search (reno|cubic|delay|vegas)")
 		hintCCA = flag.String("hint-cca", "", "pick the sub-DSL from this CCA's family")
@@ -95,16 +91,8 @@ func main() {
 		daemon  = flag.Bool("daemon", false, "run as a synthesis daemon (job API on -serve's address; see abagnaled)")
 		snaps   = flag.String("snapshots", "", "daemon mode: corpus snapshot directory (empty disables warm restarts)")
 
-		shardWorkers = flag.Int("shard-workers", 0, "shard scoring across N spawned local worker processes")
-		shardWait    = flag.Int("shard-wait", 0, "also wait for N joined workers (abagnaled -worker -join) before searching")
-		shardListen  = flag.String("shard-listen", "", "shard coordinator listen address (default 127.0.0.1, ephemeral port)")
-		shardSnaps   = flag.String("shard-snapshots", "", "shared corpus snapshot dir shard workers warm-start from")
-		shardPrewarm = flag.Bool("shard-prewarm", false, "materialize and snapshot the sketch space into -shard-snapshots before spawning workers")
-		shardBeat    = flag.Duration("shard-heartbeat", 0, "worker heartbeat cadence (default 500ms; negative disables)")
-		shardPM      = flag.String("shard-postmortems", "", "write a JSONL postmortem bundle per worker lost mid-run into this directory")
-		fleet        = flag.Bool("fleet", false, "print the per-worker fleet telemetry table after a sharded run")
-		bucketCap    = flag.Int("bucket-cap", 0, "max sketches materialized per bucket (default: core's)")
-		scanBudget   = flag.Int("scan-budget", 0, "max candidate constructions per bucket enumeration (default: core's)")
+		bucketCap  = flag.Int("bucket-cap", 0, "max sketches materialized per bucket (default: core's)")
+		scanBudget = flag.Int("scan-budget", 0, "max candidate constructions per bucket enumeration (default: core's)")
 	)
 	c := cli.Register("abagnale", flag.CommandLine)
 	flag.Parse()
@@ -139,22 +127,16 @@ func main() {
 	// so far is still printed and the run report (via done()) still written.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sh := shardFlags{
-		workers: *shardWorkers, wait: *shardWait, listen: *shardListen,
-		snaps: *shardSnaps, prewarm: *shardPrewarm,
-		heartbeat: *shardBeat, postmortems: *shardPM, fleet: *fleet,
-		bucketCap: *bucketCap, scanBudget: *scanBudget,
-	}
 	var runErr error
 	if batch {
 		if *ledger != "" || *funnel != "" {
 			fmt.Fprintln(os.Stderr, "abagnale: -ledger/-funnel apply to single-trace runs; ignored in batch mode")
 		}
 		runErr = runBatch(ctx, *dslName, *hintCCA, *metric, *budget, *minSeg, *seed,
-			*dir, *glob, *jobs, *report, *explain, sh, reg, flag.Args())
+			*dir, *glob, *jobs, *report, *explain, *bucketCap, *scanBudget, reg, flag.Args())
 	} else {
 		runErr = run(ctx, *dslName, *hintCCA, *metric, *budget, *minSeg, *seed,
-			*explain, *ledger, *funnel, sh, reg, flag.Args())
+			*explain, *ledger, *funnel, *bucketCap, *scanBudget, reg, flag.Args())
 	}
 	if runErr != nil {
 		// A failed search dumps the flight recorder's tail — the last thing
@@ -168,85 +150,6 @@ func main() {
 		}
 	}
 	c.Finish(runErr, done)
-}
-
-// shardFlags bundles the -shard-* and corpus-sizing flags.
-type shardFlags struct {
-	workers, wait         int
-	listen, snaps         string
-	prewarm               bool
-	heartbeat             time.Duration
-	postmortems           string
-	fleet                 bool
-	bucketCap, scanBudget int
-}
-
-// active reports whether the run is sharded at all (spawned or external
-// workers).
-func (s shardFlags) active() bool { return s.workers > 0 || s.wait > 0 }
-
-// options renders the flags as shard.Options around the core config.
-func (s shardFlags) options(o core.Options, reg *obs.Registry) shard.Options {
-	return shard.Options{
-		Workers:       s.workers,
-		WaitWorkers:   s.wait,
-		Listen:        s.listen,
-		SnapshotDir:   s.snaps,
-		Prewarm:       s.prewarm,
-		Heartbeat:     s.heartbeat,
-		PostmortemDir: s.postmortems,
-		Core:          o,
-		Obs:           reg,
-	}
-}
-
-// printShardSummary writes the per-worker accounting to stderr (stdout is
-// reserved for results and reports); with -fleet it also renders the
-// cluster telemetry table.
-func (s shardFlags) printShardSummary(rep *shard.Report) {
-	for _, w := range rep.Workers {
-		state := ""
-		if w.Lost {
-			state = "  [lost mid-run]"
-		}
-		fmt.Fprintf(os.Stderr, "shard: worker %d (pid %d): %d leases (%d stolen), %d handlers, %d cutoffs applied%s\n",
-			w.ID, w.PID, w.Leases, w.Stolen, w.Handlers, w.Applied, state)
-	}
-	fmt.Fprintf(os.Stderr, "shard: %d leases issued, %d stolen, %d reissued; %d cutoff broadcasts (%d applied)\n",
-		rep.Counters["shard.leases_issued"], rep.Counters["shard.leases_stolen"],
-		rep.Counters["shard.leases_reissued"], rep.Counters["shard.cutoff_broadcasts"],
-		rep.Counters["shard.cutoff_applied"])
-	if s.fleet {
-		printFleet(rep)
-	}
-}
-
-// printFleet renders the cluster snapshot as the per-worker telemetry
-// table: the same data /cluster serves live, at end-of-run.
-func printFleet(rep *shard.Report) {
-	if rep.Cluster == nil {
-		fmt.Fprintln(os.Stderr, "fleet: no cluster snapshot in report")
-		return
-	}
-	fmt.Fprintln(os.Stderr, "\nfleet: per-worker telemetry")
-	tw := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  WORKER\tSTATE\tLAST BEAT\tRTT\tLEASES\tSTOLEN\tREISSUED\tCANDIDATES\tCAND/S\tENUMERATION")
-	for _, w := range rep.Cluster.Workers {
-		state := "up"
-		if w.Lost {
-			state = "lost"
-		} else if !w.Connected {
-			state = "done"
-		}
-		beat := "never"
-		if w.LastBeatSec >= 0 {
-			beat = fmt.Sprintf("%.1fs ago", w.LastBeatSec)
-		}
-		fmt.Fprintf(tw, "  %02d (pid %d)\t%s\t%s\t%.2fms\t%d\t%d\t%d\t%d\t%.0f\t%s\n",
-			w.ID, w.PID, state, beat, w.RTTMs, w.Leases, w.Stolen, w.Reissued,
-			w.Handlers, w.CandidatesPerSec, w.Enumeration)
-	}
-	tw.Flush()
 }
 
 // pickDSL resolves the sub-DSL and metric from the flags.
@@ -269,7 +172,7 @@ func pickDSL(dslName, hintCCA, metricName string) (string, *dsl.DSL, dist.Metric
 	return dslName, d, m, nil
 }
 
-func run(ctx context.Context, dslName, hintCCA, metricName string, budget, minSeg int, seed int64, explain bool, ledgerPath, funnelPath string, sh shardFlags, reg *obs.Registry, files []string) error {
+func run(ctx context.Context, dslName, hintCCA, metricName string, budget, minSeg int, seed int64, explain bool, ledgerPath, funnelPath string, bucketCap, scanBudget int, reg *obs.Registry, files []string) error {
 	dslName, d, m, err := pickDSL(dslName, hintCCA, metricName)
 	if err != nil {
 		return err
@@ -303,23 +206,13 @@ func run(ctx context.Context, dslName, hintCCA, metricName string, budget, minSe
 		DSL:         d,
 		Metric:      m,
 		MaxHandlers: budget,
-		BucketCap:   sh.bucketCap,
-		ScanBudget:  sh.scanBudget,
+		BucketCap:   bucketCap,
+		ScanBudget:  scanBudget,
 		Seed:        seed,
 		Ledger:      led,
 		Obs:         reg,
 	}
-	var res *core.Result
-	if sh.active() {
-		reg.Progressf("sharding across %d spawned workers (waiting for %d)", sh.workers, max(sh.wait, sh.workers))
-		var srep *shard.Report
-		res, srep, err = shard.Synthesize(ctx, segs, sh.options(copts, reg))
-		if srep != nil {
-			sh.printShardSummary(srep)
-		}
-	} else {
-		res, err = core.Synthesize(ctx, segs, copts)
-	}
+	res, err := core.Synthesize(ctx, segs, copts)
 	if err != nil {
 		return err
 	}
@@ -508,7 +401,7 @@ func slicesCompact(s []string) []string {
 
 // runBatch is the -dir/-glob mode: one synthesis per pcap, all sharing a
 // compiled sketch corpus and one CPU gate, plus an aggregate JSON report.
-func runBatch(ctx context.Context, dslName, hintCCA, metricName string, budget, minSeg int, seed int64, dir, glob string, jobs int, reportPath string, explain bool, sh shardFlags, reg *obs.Registry, args []string) error {
+func runBatch(ctx context.Context, dslName, hintCCA, metricName string, budget, minSeg int, seed int64, dir, glob string, jobs int, reportPath string, explain bool, bucketCap, scanBudget int, reg *obs.Registry, args []string) error {
 	dslName, d, m, err := pickDSL(dslName, hintCCA, metricName)
 	if err != nil {
 		return err
@@ -548,28 +441,15 @@ func runBatch(ctx context.Context, dslName, hintCCA, metricName string, budget, 
 		DSL:         d,
 		Metric:      m,
 		MaxHandlers: budget,
-		BucketCap:   sh.bucketCap,
-		ScanBudget:  sh.scanBudget,
+		BucketCap:   bucketCap,
+		ScanBudget:  scanBudget,
 		Seed:        seed,
 	}
-	var (
-		res  *corpus.BatchResult
-		srep *shard.Report
-	)
-	if sh.active() {
-		reg.Progressf("sharding %d traces across %d spawned workers (waiting for %d)",
-			len(batch), sh.workers, max(sh.wait, sh.workers))
-		res, srep, err = shard.Run(ctx, batch, sh.options(copts, reg))
-		if srep != nil {
-			sh.printShardSummary(srep)
-		}
-	} else {
-		res, err = corpus.Run(ctx, batch, corpus.RunOptions{
-			Jobs: jobs,
-			Core: copts,
-			Obs:  reg,
-		})
-	}
+	res, err := corpus.Run(ctx, batch, corpus.RunOptions{
+		Jobs: jobs,
+		Core: copts,
+		Obs:  reg,
+	})
 	if err != nil {
 		return err
 	}
@@ -594,9 +474,6 @@ func runBatch(ctx context.Context, dslName, hintCCA, metricName string, budget, 
 	}
 
 	rep := res.Report(jobs)
-	if srep != nil {
-		rep.Shard = srep
-	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

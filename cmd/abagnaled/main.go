@@ -19,14 +19,7 @@
 //	abagnaled result -wait job-000001
 //	abagnaled jobs
 //
-// Worker mode joins a shard coordinator (abagnale -shard-wait N) and
-// executes scoring leases until the coordinator disconnects — how a run is
-// fanned out across machines or across processes started by hand:
-//
-//	abagnaled -worker -join 10.0.0.5:7400 -snapshots ~/.abagnale/corpora
-//
-// See DESIGN.md §6 for the API schema and the snapshot format, §7 for the
-// sharding protocol.
+// See DESIGN.md §6 for the API schema and the snapshot format.
 package main
 
 import (
@@ -45,14 +38,10 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/shard"
 )
 
 func main() {
-	// A copy of this binary exec'd as a local shard worker detours here.
-	shard.MaybeRunWorker()
 	// Client subcommands peel off before daemon flag parsing.
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -72,10 +61,6 @@ func main() {
 		workers   = flag.Int("workers", 2, "concurrent jobs (CPU is gated to GOMAXPROCS overall)")
 		prewarm   = flag.String("prewarm", "", "comma-separated sub-DSLs to materialize and persist at startup")
 		verbose   = flag.Bool("v", false, "print live progress to stderr")
-		worker    = flag.Bool("worker", false, "run as a shard worker instead of a daemon (requires -join)")
-		join      = flag.String("join", "", "worker mode: shard coordinator address (host:port)")
-		procs     = flag.Int("procs", 0, "worker mode: scoring parallelism (default GOMAXPROCS)")
-		serve     = flag.String("serve", "", "worker mode: expose this worker's own obs surface (/metrics, /healthz, /flight) on host:port")
 	)
 	c := cli.RegisterVersion("abagnaled", flag.CommandLine)
 	flag.Parse()
@@ -86,32 +71,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *worker {
-		if *join == "" {
-			c.UsageExit("-worker requires -join host:port")
-		}
-		reg := obs.New()
-		if *serve != "" {
-			// A remote worker has no coordinator-side HTTP surface, so it can
-			// serve its own: local metrics/flight before federation folds them.
-			hub := obs.NewEventHub()
-			reg.Attach(hub)
-			srv, err := obs.Serve(*serve, reg, hub)
-			if err != nil {
-				c.Finish(err, done)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "abagnaled: worker obs on http://%s/ (/metrics /flight /events)\n", srv.Addr())
-			defer srv.Close()
-		}
-		err := shard.RunWorker(ctx, *join, shard.WorkerConfig{
-			SnapshotDir: *snapshots,
-			Procs:       *procs,
-			Obs:         reg,
-		})
-		c.Finish(err, done)
-		return
-	}
 	err := service.RunDaemon(ctx, service.Config{
 		QueueDepth:  *queue,
 		Workers:     *workers,

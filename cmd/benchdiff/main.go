@@ -21,7 +21,10 @@
 // ~1-cycle fast-path benchmarks don't fail builds on code-alignment
 // jitter. Other b.ReportMetric
 // values (distances, ranks) are recorded but not judged — they are
-// reproduction results, not costs.
+// reproduction results, not costs. Each snapshot records the host it ran
+// on (the `cpu:` header line and the GOMAXPROCS benchmark-name suffix);
+// when the previous snapshot came from a different CPU or core count the
+// diff header says so, since cross-host deltas are not regressions.
 package main
 
 import (
@@ -43,11 +46,18 @@ import (
 
 // snapshot is the JSON shape of one recorded bench run. Build stamps the
 // recording binary (module version + VCS revision) so archived snapshots
-// stay attributable to a commit.
+// stay attributable to a commit; Host stamps the machine.
 type snapshot struct {
 	Timestamp  string                        `json:"timestamp"`
 	Build      *obs.BuildInfo                `json:"build,omitempty"`
+	Host       *host                         `json:"host,omitempty"`
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+}
+
+// host is the machine a run came from, as `go test -bench` reports it.
+type host struct {
+	CPU   string `json:"cpu"`
+	Procs int    `json:"gomaxprocs"`
 }
 
 // costMetrics are the judged dimensions; everything else is informational.
@@ -134,17 +144,28 @@ func parseBench(r io.Reader) (*snapshot, error) {
 	if b := obs.ReadBuild(); b != (obs.BuildInfo{}) {
 		s.Build = &b
 	}
+	var h host
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			h.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		// Strip the -GOMAXPROCS suffix so runs on different core counts
-		// still line up.
+		// still line up. go test omits it when GOMAXPROCS is 1.
 		name := fields[0]
+		if h.Procs == 0 {
+			h.Procs = 1
+		}
 		if i := strings.LastIndex(name, "-"); i > 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+				h.Procs = n
+			}
 			name = name[:i]
 		}
 		metrics := map[string]float64{}
@@ -158,6 +179,9 @@ func parseBench(r io.Reader) (*snapshot, error) {
 		if len(metrics) > 0 {
 			s.Benchmarks[name] = metrics
 		}
+	}
+	if h != (host{}) {
+		s.Host = &h
 	}
 	return s, sc.Err()
 }
@@ -212,7 +236,12 @@ func diff(w io.Writer, prev, cur *snapshot, prevName string, threshold float64) 
 		}
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "comparing against %s (%d shared benchmarks)\n\n", prevName, len(names))
+	fmt.Fprintf(w, "comparing against %s (%d shared benchmarks)\n", prevName, len(names))
+	if p, c := prev.Host, cur.Host; p != nil && c != nil && *p != *c {
+		fmt.Fprintf(w, "cross-host comparison: previous run on %q (GOMAXPROCS %d), this run on %q (GOMAXPROCS %d)\n",
+			p.CPU, p.Procs, c.CPU, c.Procs)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-34s %-10s %14s %14s %8s\n", "benchmark", "metric", "old", "new", "delta")
 	regressions := 0
 	for _, name := range names {

@@ -129,16 +129,6 @@ type Options struct {
 	// ledger regardless of worker scheduling. Candidates settled by the
 	// memo cache are not re-offered; it never changes search behavior.
 	Ledger *replay.Ledger
-	// LeaseExec, when set, delegates each iteration's bucket scoring to an
-	// external executor (internal/shard's coordinator): Algorithm 1's outer
-	// loop — segment selection, ranking, top-k, budget, termination — stays
-	// in-process and consumes the run's rand stream exactly as a local run
-	// would, while the per-bucket scoring work is leased out. Per-bucket
-	// scoring is deterministic, so results match the in-process path in the
-	// default and ExactScoring modes. Sketches/Programs/Gate are unused on
-	// the coordinating side when set (the executor's workers hold their
-	// own).
-	LeaseExec LeaseExecutor
 	// Gate, when set, replaces the per-run Workers semaphore with a
 	// shared concurrency bound: scoring workers and the run's own
 	// goroutine each hold one slot while doing CPU work, so concurrent
@@ -302,35 +292,6 @@ type SearchStats struct {
 	Interrupted bool
 }
 
-// Merge folds another run's (or shard's) search telemetry in: funnels and
-// counters sum, per-bucket rows combine by operator set, flags OR. Merge
-// is associative and commutative over every field it touches, so sharded
-// workers can combine partial reports in any grouping or order (up to the
-// ordering of equal-Best buckets). Per-iteration detail (Iterations) is
-// inherently per-shard and is left untouched on the receiver.
-func (s *SearchStats) Merge(o SearchStats) {
-	s.SpaceBuckets += o.SpaceBuckets
-	s.HandlersScored += o.HandlersScored
-	s.SketchesScored += o.SketchesScored
-	s.BudgetExhausted = s.BudgetExhausted || o.BudgetExhausted
-	s.Interrupted = s.Interrupted || o.Interrupted
-	s.Funnel.Merge(o.Funnel)
-	byOps := make(map[dsl.OpSet]int, len(s.Buckets))
-	for i := range s.Buckets {
-		byOps[s.Buckets[i].Ops] = i
-	}
-	for _, ob := range o.Buckets {
-		if i, ok := byOps[ob.Ops]; ok {
-			s.Buckets[i].merge(ob)
-			continue
-		}
-		byOps[ob.Ops] = len(s.Buckets)
-		ob.Trajectory = append([]float64(nil), ob.Trajectory...)
-		s.Buckets = append(s.Buckets, ob)
-	}
-	sort.SliceStable(s.Buckets, func(i, j int) bool { return s.Buckets[i].Best < s.Buckets[j].Best })
-}
-
 // BucketStats is one bucket's cumulative search telemetry: how much of
 // the candidate budget it consumed, how hard the threshold-aware fast
 // path pruned it, and how its best distance moved per refinement
@@ -369,31 +330,6 @@ func (b *BucketStats) PruneRate() float64 {
 		return 0
 	}
 	return float64(b.Pruned) / float64(b.HandlersScored)
-}
-
-// merge combines two shards' views of the same bucket: additive counters
-// sum, prefix-shaped counters take the max (Take returns deterministic
-// enumeration prefixes, so shards see nested prefixes), bests take the
-// min, and trajectories merge element-wise by min with the shorter one
-// padded by +Inf. Each operation is associative and commutative.
-func (b *BucketStats) merge(o BucketStats) {
-	b.Iterations = max(b.Iterations, o.Iterations)
-	b.SketchesTaken = max(b.SketchesTaken, o.SketchesTaken)
-	b.HandlersScored += o.HandlersScored
-	b.Pruned += o.Pruned
-	b.Exhausted = b.Exhausted || o.Exhausted
-	if o.Best < b.Best {
-		b.Best = o.Best
-	}
-	b.Funnel.Merge(o.Funnel)
-	if len(o.Trajectory) > len(b.Trajectory) {
-		b.Trajectory = append(b.Trajectory, o.Trajectory[len(b.Trajectory):]...)
-	}
-	for i := range b.Trajectory {
-		if i < len(o.Trajectory) && o.Trajectory[i] < b.Trajectory[i] {
-			b.Trajectory[i] = o.Trajectory[i]
-		}
-	}
 }
 
 // BucketReport is the JSON shape of one "core.bucket" obs record,
@@ -558,7 +494,6 @@ type scoredHandler struct {
 type bucket struct {
 	ops       dsl.OpSet
 	sketches  []*dsl.Node
-	taken     int // enumeration prefix length of the latest Take (remote leases carry no sketch slice)
 	exhausted bool
 	score     float64
 	best      scoredHandler
@@ -640,26 +575,21 @@ func (r *runState) run() (*Result, error) {
 
 		r.live.SetPhase("score")
 		scsp := isp.Child("core.score")
-		var handlers int
-		if r.opts.LeaseExec != nil {
-			handlers = r.execLeased(iterIdx, n, live, segs, setID)
-		} else {
-			scorer := replay.NewScorer(segs, r.opts.Metric).WithPrograms(r.opts.Programs)
-			if r.opts.Ledger != nil {
-				// The segment-set fingerprint doubles as the ledger round
-				// tag: re-scoring a candidate in a later iteration
-				// (different segments) is a distinct provenance event.
-				scorer.WithLedger(r.opts.Ledger, setID)
-			}
-			handlers = r.scoreBuckets(live, n, scorer, setID, scsp)
+		scorer := replay.NewScorer(segs, r.opts.Metric).WithPrograms(r.opts.Programs)
+		if r.opts.Ledger != nil {
+			// The segment-set fingerprint doubles as the ledger round
+			// tag: re-scoring a candidate in a later iteration
+			// (different segments) is a distinct provenance event.
+			scorer.WithLedger(r.opts.Ledger, setID)
 		}
+		handlers := r.scoreBuckets(live, n, scorer, setID, scsp)
 		scsp.End()
 		r.live.SetPhase("rank")
 
 		// Drop buckets that turned out empty, then rank.
 		nonEmpty := live[:0:0]
 		for _, b := range live {
-			if b.taken > 0 {
+			if len(b.sketches) > 0 {
 				nonEmpty = append(nonEmpty, b)
 			}
 		}
@@ -727,7 +657,7 @@ func (r *runState) run() (*Result, error) {
 		// sampled (covers the single-bucket case).
 		allDone := true
 		for _, b := range live {
-			if !b.exhausted || b.taken > n {
+			if !b.exhausted || len(b.sketches) > n {
 				allDone = false
 				break
 			}
@@ -783,7 +713,7 @@ func (r *runState) finishBucketStats() {
 		bs = append(bs, BucketStats{
 			Ops:            b.ops,
 			Iterations:     b.iters,
-			SketchesTaken:  b.taken,
+			SketchesTaken:  len(b.sketches),
 			HandlersScored: b.handlers,
 			Pruned:         b.pruned,
 			Funnel:         b.funnel,
@@ -928,7 +858,6 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 			wsp := parent.Child("core.score_bucket")
 			busy := time.Now()
 			b.sketches, b.exhausted = r.src.Take(b.ops, n, r.opts.BucketCap, r.opts.ScanBudget)
-			b.taken = len(b.sketches)
 			handlers := 0
 			// One funnel and one reusable lane scratch per worker: the hot
 			// path tallies into worker-local state, folded into the bucket
@@ -959,7 +888,7 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 			wsp.End()
 			mu.Lock()
 			total += handlers
-			sketchN += b.taken
+			sketchN += len(b.sketches)
 			if b.best.handler != nil && b.best.distance < r.best.distance {
 				r.best = b.best
 				r.storeBest(b.best.distance)

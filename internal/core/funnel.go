@@ -125,8 +125,8 @@ func (f *Funnel) observe(co *replay.CandidateOutcome) {
 }
 
 // Merge folds another funnel in. Merge is associative and commutative
-// (every field is a sum), so sharded workers can combine partial funnels
-// in any grouping or order.
+// (every field is a sum), so scoring workers' partial funnels combine in
+// any grouping or order.
 func (f *Funnel) Merge(o Funnel) {
 	f.Enumerated += o.Enumerated
 	f.NewBest += o.NewBest

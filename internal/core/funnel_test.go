@@ -122,56 +122,6 @@ func TestFunnelReportShares(t *testing.T) {
 	}
 }
 
-// TestSearchStatsMerge: merging per-shard stats sums the funnels and
-// combines same-ops buckets; the result still reconciles.
-func TestSearchStatsMerge(t *testing.T) {
-	ops := dsl.OpSet(0).With(dsl.OpAdd)
-	mk := func(enumerated, scored int, best float64) SearchStats {
-		var f Funnel
-		for i := 0; i < enumerated-scored; i++ {
-			f.count(FunnelRejected)
-		}
-		for i := 0; i < scored; i++ {
-			f.observe(&replay.CandidateOutcome{Exact: true, Cells: 10})
-		}
-		return SearchStats{
-			SpaceBuckets:   1,
-			HandlersScored: scored,
-			Funnel:         f,
-			Buckets: []BucketStats{{
-				Ops:            ops,
-				Iterations:     1,
-				HandlersScored: scored,
-				Funnel:         f,
-				Best:           best,
-				Trajectory:     []float64{best},
-			}},
-		}
-	}
-	a := mk(10, 7, 3.5)
-	b := mk(6, 6, 2.0)
-	a.Merge(b)
-	if a.HandlersScored != 13 {
-		t.Errorf("merged HandlersScored = %d, want 13", a.HandlersScored)
-	}
-	if a.Funnel.Enumerated != 16 {
-		t.Errorf("merged Enumerated = %d, want 16", a.Funnel.Enumerated)
-	}
-	if !a.Funnel.Reconciles() {
-		t.Errorf("merged funnel does not reconcile: %+v", a.Funnel)
-	}
-	if len(a.Buckets) != 1 {
-		t.Fatalf("same-ops buckets not combined: %d buckets", len(a.Buckets))
-	}
-	bkt := a.Buckets[0]
-	if bkt.Best != 2.0 {
-		t.Errorf("merged bucket best = %v, want 2.0 (min)", bkt.Best)
-	}
-	if bkt.Funnel.Enumerated != 16 {
-		t.Errorf("merged bucket funnel enumerated = %d, want 16", bkt.Funnel.Enumerated)
-	}
-}
-
 // TestRunFunnelReconciles drives real searches in both scoring modes and
 // checks the acceptance invariant end to end: per-bucket stage counts sum
 // to candidates considered, the run funnel is the bucket sum, and the

@@ -38,8 +38,7 @@ type RunOptions struct {
 	// defaulting). When nil the engine builds one from Core.
 	Corpus *SketchCorpus
 	// Procs caps the batch's total scoring concurrency (the shared CPU
-	// gate). Default GOMAXPROCS. Benchmarks pin it to compare a
-	// single-core in-process baseline against sharded workers honestly.
+	// gate). Default GOMAXPROCS.
 	Procs int
 	// Obs receives engine and corpus instruments and is passed to every
 	// trace job. Default: Core.Obs, else a private registry (the report
@@ -179,11 +178,7 @@ type Report struct {
 	WallSec     float64          `json:"wall_sec"`
 	Interrupted bool             `json:"interrupted,omitempty"`
 	Corpus      map[string]int64 `json:"corpus"`
-	// Shard carries the shard.Report of a sharded batch (any to avoid an
-	// import cycle: internal/shard imports corpus). Omitted when the batch
-	// ran in-process.
-	Shard  any           `json:"shard,omitempty"`
-	Traces []TraceReport `json:"traces"`
+	Traces      []TraceReport    `json:"traces"`
 }
 
 // TraceReport is one trace's row in the batch report.

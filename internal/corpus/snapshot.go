@@ -124,13 +124,12 @@ func (c *SketchCorpus) WriteSnapshot(w io.Writer) error {
 
 // SaveSnapshot writes the snapshot to path atomically and durably: a temp
 // file in the same directory, fsync'd before the rename and with the
-// directory fsync'd after, so a process killed at any instant — SIGKILL'd
-// shard workers included — leaves either the old snapshot or the complete
-// new one, never a torn gob, even across a host crash that drops dirty
-// page-cache state. Parent directories are created as needed, and stale
-// temp files abandoned by crashed writers are swept (age-gated, so a
-// concurrent writer's in-flight temp in a shared snapshot dir is never
-// touched).
+// directory fsync'd after, so a process killed at any instant leaves
+// either the old snapshot or the complete new one, never a torn gob, even
+// across a host crash that drops dirty page-cache state. Parent
+// directories are created as needed, and stale temp files abandoned by
+// crashed writers are swept (age-gated, so a concurrent writer's
+// in-flight temp in a shared snapshot dir is never touched).
 func (c *SketchCorpus) SaveSnapshot(path string) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -176,7 +175,7 @@ const staleTempAge = time.Hour
 
 // sweepStaleTemps garbage-collects temp files left behind by writers that
 // died between CreateTemp and Rename. Shared snapshot dirs can have
-// several concurrent writers (shard workers, a daemon), so only temps
+// several concurrent writers (daemons, batch runs), so only temps
 // older than staleTempAge are removed; a freshly created temp always
 // belongs to someone.
 func sweepStaleTemps(dir string) {
@@ -193,8 +192,9 @@ func sweepStaleTemps(dir string) {
 
 // LoadSnapshot builds a corpus for opts and restores the sketch space from
 // the gob stream. The snapshot must carry the current SnapshotVersion and
-// the exact ConfigHash of opts; anything else is an error (callers fall
-// back to a cold New). Restored sketches have their canonical keys
+// the exact ConfigHash of opts, and every sketch must be well-formed,
+// admitted by the DSL and stored under the bucket of its own operators;
+// anything else is an error (callers fall back to a cold New). Restored sketches have their canonical keys
 // memoized and their register programs compiled into the program cache, so
 // a subsequent run performs zero enumeration (a bucket saved
 // non-exhausted resumes its enumerator only if a Take outgrows the
@@ -221,7 +221,10 @@ func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 		if b == nil {
 			return nil, fmt.Errorf("corpus: snapshot bucket %s not in the %s DSL's space", sb.Ops, opts.DSL.Name)
 		}
-		for _, sk := range sb.Sketches {
+		for i, sk := range sb.Sketches {
+			if err := checkSketch(opts.DSL, sb.Ops, sk); err != nil {
+				return nil, fmt.Errorf("corpus: snapshot bucket %s sketch %d: %w", sb.Ops, i, err)
+			}
 			// Recompute the canonical key (the unexported memo does not
 			// survive gob) before publication, exactly like Take, and warm
 			// the compiled-program cache from it.
@@ -234,6 +237,49 @@ func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 	}
 	c.obsv.Counter("corpus.snapshot_sketches_loaded").Add(int64(loaded))
 	return c, nil
+}
+
+// checkSketch validates one decoded sketch before the loader keys or
+// compiles it. A snapshot file is a trust boundary: gob decodes an
+// operator with missing operands or an Op no DSL defines without
+// complaint, and the first would panic the compiler while the second
+// would silently join the corpus.
+func checkSketch(d *dsl.DSL, ops dsl.OpSet, sk *dsl.Node) error {
+	if err := checkShape(sk, d.MaxDepth); err != nil {
+		return err
+	}
+	if err := d.Admits(sk); err != nil {
+		return err
+	}
+	if got := sk.Ops(); got != ops {
+		return fmt.Errorf("sketch %s uses operators %s, not its bucket's", sk, got)
+	}
+	return nil
+}
+
+// checkShape checks every node's Op and operand count. It stops at the
+// DSL's depth bound, so a hostile tree is rejected before the recursive
+// Node methods (Depth, Key, String) ever walk it.
+func checkShape(n *dsl.Node, depth int) error {
+	if n == nil {
+		return fmt.Errorf("nil node")
+	}
+	if depth < 1 {
+		return fmt.Errorf("sketch deeper than the DSL allows")
+	}
+	want, ok := n.Op.Arity()
+	if !ok {
+		return fmt.Errorf("unknown operator %v", n.Op)
+	}
+	if len(n.Kids) != want {
+		return fmt.Errorf("operator %q has %d operands, want %d", n.Op, len(n.Kids), want)
+	}
+	for _, k := range n.Kids {
+		if err := checkShape(k, depth-1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadSnapshotFile is LoadSnapshot over a file.

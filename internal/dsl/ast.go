@@ -81,6 +81,23 @@ func (o Op) IsLeaf() bool {
 	return o == OpCwnd || o == OpSignal || o == OpConst || o == OpMacro
 }
 
+// Arity returns how many Kids a node of this kind takes: 0 for leaves, 1
+// for cube/cbrt, 2 for binary operators and comparisons, 3 for cond. ok is
+// false for an Op no DSL defines.
+func (o Op) Arity() (n int, ok bool) {
+	switch {
+	case o.IsLeaf():
+		return 0, true
+	case o == OpCube || o == OpCbrt:
+		return 1, true
+	case o == OpCond:
+		return 3, true
+	case o >= OpAdd && o <= OpDiv || o.IsBool():
+		return 2, true
+	}
+	return 0, false
+}
+
 // Signal identifies a congestion signal available to handlers.
 type Signal int
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,6 +63,35 @@ func TestTable2QuickReno(t *testing.T) {
 		t.Error("FormatTable2 lost the row")
 	}
 	t.Logf("\n%s", out)
+}
+
+// TestTable2QuickGolden pins the quick-scale Table 2 winners of a cheap
+// subset — handler string and summed distance to 6 significant digits —
+// so a refactor of the search, scoring or evaluation layers cannot
+// silently change a Table 2 row.
+func TestTable2QuickGolden(t *testing.T) {
+	want := map[string]struct{ handler, distance string }{
+		"reno":     {"cwnd + reno-inc", "12.9217"},
+		"vegas":    {"rtt*ack-rate", "10.4904"},
+		"student4": {"mss + acked + acked", "0.0560043"},
+	}
+	rows, err := Table2([]string{"reno", "vegas", "student4"}, QuickScale(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if r.Err != nil {
+			t.Errorf("%s: synthesis failed: %v", r.CCA, r.Err)
+			continue
+		}
+		w := want[r.CCA]
+		if got := fmt.Sprintf("%.6g", r.SynthDistance); r.Synthesized != w.handler || got != w.distance {
+			t.Errorf("%s: got %q at %s, want %q at %s", r.CCA, r.Synthesized, got, w.handler, w.distance)
+		}
+	}
 }
 
 func TestTable2CCAList(t *testing.T) {

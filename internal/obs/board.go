@@ -104,17 +104,6 @@ func (r *Run) SetPhase(phase string) {
 	r.phase.Store(&phase)
 }
 
-// Phase returns the run's current phase label ("" on a nil run).
-func (r *Run) Phase() string {
-	if r == nil {
-		return ""
-	}
-	if p := r.phase.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // SetIteration publishes the current refinement iteration (1-based).
 func (r *Run) SetIteration(n int) {
 	if r == nil {

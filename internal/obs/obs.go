@@ -57,9 +57,6 @@ type Registry struct {
 	flight atomic.Pointer[FlightRecorder]
 	// board is the live run board, created lazily by Board().
 	board *Board
-	// cluster is an opaque snapshot hook served at /cluster (SetCluster);
-	// the shard coordinator attaches one without obs importing shard.
-	cluster atomic.Pointer[func() any]
 }
 
 // New returns an empty registry whose clock starts now.
@@ -158,44 +155,6 @@ func (r *Registry) emit(ev Event) {
 // since returns seconds since the registry's start.
 func (r *Registry) since() float64 { return time.Since(r.start).Seconds() }
 
-// StartTime returns the instant the registry's clock started (zero on a nil
-// registry). Externally timed data merged into this registry's timeline —
-// e.g. clock-corrected worker lease spans — is expressed relative to it.
-func (r *Registry) StartTime() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
-// SetCluster installs a snapshot hook served at the /cluster endpoint. The
-// payload is opaque to obs (it is JSON-encoded as-is), which keeps the
-// dependency arrow pointing at obs: the shard coordinator registers a
-// closure over its own state, the same way Run.SetFunnel works.
-func (r *Registry) SetCluster(fn func() any) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.cluster.Store(nil)
-		return
-	}
-	r.cluster.Store(&fn)
-}
-
-// ClusterSnapshot invokes the installed cluster hook. ok is false when no
-// hook is attached (single-process runs).
-func (r *Registry) ClusterSnapshot() (any, bool) {
-	if r == nil {
-		return nil, false
-	}
-	fn := r.cluster.Load()
-	if fn == nil {
-		return nil, false
-	}
-	return (*fn)(), true
-}
-
 // --- Counter ------------------------------------------------------------
 
 // Counter is a monotonically increasing int64. Methods on a nil *Counter
@@ -253,23 +212,6 @@ func (r *Registry) CounterValues(prefix string) map[string]int64 {
 	for name, c := range r.counters {
 		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
 			out[name] = c.Value()
-		}
-	}
-	return out
-}
-
-// GaugeValues snapshots every gauge whose name starts with prefix (every
-// gauge when prefix is empty). A nil registry returns nil.
-func (r *Registry) GaugeValues(prefix string) map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64)
-	for name, g := range r.gauges {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			out[name] = g.Value()
 		}
 	}
 	return out
@@ -446,86 +388,6 @@ func (h *Histogram) Stats() HistStats {
 	return s
 }
 
-// HistSnapshot is a histogram's raw state in a wire-friendly form: exported
-// fields only, fixed-size bucket array, gob- and JSON-encodable. Two
-// snapshots of the same histogram subtract into a delta (Delta) that merges
-// losslessly into another histogram (Merge) — the substrate of cross-process
-// histogram federation, where workers ship increments and the coordinator
-// folds them into per-worker and fleet-aggregate instruments.
-type HistSnapshot struct {
-	Count   int64
-	Sum     float64
-	Min     float64 // absolute, not a delta (±Inf when Count == 0)
-	Max     float64 // absolute, not a delta
-	Buckets [histBuckets]int64
-}
-
-// Snapshot captures the histogram's current state (zero value on nil).
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	s := HistSnapshot{
-		Count: h.count.Load(),
-		Sum:   math.Float64frombits(h.sumBits.Load()),
-		Min:   math.Float64frombits(h.minBits.Load()),
-		Max:   math.Float64frombits(h.maxBits.Load()),
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// Delta returns the increments from prev to s. Count, Sum and Buckets
-// subtract; Min and Max stay absolute (the running extremes fold correctly
-// through Merge's min/max, so no information is lost by not differencing
-// them).
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	d := s
-	d.Count -= prev.Count
-	d.Sum -= prev.Sum
-	for i := range d.Buckets {
-		d.Buckets[i] -= prev.Buckets[i]
-	}
-	return d
-}
-
-// Merge folds a snapshot delta into the histogram. An empty delta
-// (Count == 0) is a no-op so ±Inf extremes from empty snapshots never
-// contaminate the fold.
-func (h *Histogram) Merge(d HistSnapshot) {
-	if h == nil || d.Count == 0 {
-		return
-	}
-	h.count.Add(d.Count)
-	casFloat(&h.sumBits, func(cur float64) float64 { return cur + d.Sum })
-	casFloat(&h.minBits, func(cur float64) float64 { return math.Min(cur, d.Min) })
-	casFloat(&h.maxBits, func(cur float64) float64 { return math.Max(cur, d.Max) })
-	for i, n := range d.Buckets {
-		if n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
-// HistogramValues snapshots every histogram whose name starts with prefix
-// (every histogram when prefix is empty). A nil registry returns nil.
-func (r *Registry) HistogramValues(prefix string) map[string]HistSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]HistSnapshot)
-	for name, h := range r.hists {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			out[name] = h.Snapshot()
-		}
-	}
-	return out
-}
-
 // quantile estimates the q-th quantile from the bucket counts.
 func (h *Histogram) quantile(q float64, total int64) float64 {
 	target := int64(math.Ceil(q * float64(total)))
@@ -575,21 +437,6 @@ func (r *Registry) Record(name string, payload any) {
 	}
 	r.records[name] = append(r.records[name], payload)
 	r.mu.Unlock()
-	r.flightNote("record", name, 0)
-	if r.hasSinks() {
-		r.emit(Event{T: r.since(), Kind: KindRecord, Name: name, Data: payload})
-	}
-}
-
-// Transient emits a record event to sinks (SSE /events, JSONL streams)
-// without retaining the payload in the registry. It is the right shape for
-// high-rate lifecycle events — lease steals, reissues — that operators want
-// on the live event feed but that would bloat the end-of-run report if
-// every occurrence were retained the way Record retains.
-func (r *Registry) Transient(name string, payload any) {
-	if r == nil {
-		return
-	}
 	r.flightNote("record", name, 0)
 	if r.hasSinks() {
 		r.emit(Event{T: r.since(), Kind: KindRecord, Name: name, Data: payload})

@@ -8,117 +8,42 @@ import (
 	"strings"
 )
 
-// Instruments may carry Prometheus labels encoded directly in the registry
-// key: `family{k="v",...}` as produced by Labeled. The registry itself is
-// label-blind — a labeled key is just another instrument — but the text
-// exposition groups all series of one family under a single # TYPE line,
-// which is how cross-process federation surfaces per-worker series
-// (`core.handlers_scored{worker="2"}`) next to the fleet aggregate
-// (`{worker="fleet"}`) on one scrape.
-
-// labelEscaper escapes label values per the exposition grammar.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// Labeled renders an instrument name plus label pairs in the canonical
-// `name{k="v",...}` form. Keys are sorted, so equal label sets always map
-// to the same registry key regardless of argument order. kv is alternating
-// key, value; a trailing odd key is ignored.
-func Labeled(name string, kv ...string) string {
-	n := len(kv) / 2
-	if n == 0 {
-		return name
-	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{kv[2*i], kv[2*i+1]}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.Grow(len(name) + 16*n)
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(labelEscaper.Replace(p.v))
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// splitLabels splits a canonical instrument key into its family name and
-// label body ("" when unlabeled).
-func splitLabels(key string) (family, labels string) {
-	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
-		return key[:i], key[i+1 : len(key)-1]
-	}
-	return key, ""
-}
-
 // promSeries is one instrument key resolved to exposition terms.
 type promSeries struct {
-	fam    string // sanitized family name
-	labels string // raw label body, "" when unlabeled
-	key    string // original registry key
+	fam string // sanitized family name
+	key string // original registry key
 }
 
-// promSeriesOf sorts keys into exposition order: by family, unlabeled
-// series first, then labeled series in label order — so every family's
-// samples are consecutive and a single # TYPE line can head the group.
+// promSeriesOf sorts keys into exposition order: by sanitized family, then
+// by key — so keys that sanitize to one family are consecutive and a
+// single # TYPE line can head the group.
 func promSeriesOf[V any](m map[string]V) []promSeries {
 	out := make([]promSeries, 0, len(m))
 	for k := range m {
-		fam, labels := splitLabels(k)
-		out = append(out, promSeries{fam: promName(fam), labels: labels, key: k})
+		out = append(out, promSeries{fam: promName(k), key: k})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].fam != out[j].fam {
 			return out[i].fam < out[j].fam
-		}
-		if out[i].labels != out[j].labels {
-			return out[i].labels < out[j].labels
 		}
 		return out[i].key < out[j].key
 	})
 	return out
 }
 
-// promLabels renders a label body as a sample suffix.
-func promLabels(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "}"
-}
-
-// promLabelsLE renders a label body with the histogram le bound merged in.
-func promLabelsLE(labels, le string) string {
-	if labels == "" {
-		return fmt.Sprintf("{le=%q}", le)
-	}
-	return fmt.Sprintf("{%s,le=%q}", labels, le)
-}
-
 // WritePrometheus renders the registry's instruments in Prometheus text
 // exposition format (version 0.0.4): counters first, then gauges, then
-// histograms, each family sorted by name with its label sets in sorted
-// order — byte-for-byte deterministic for a given set of instrument
-// values, so two exposures of identical state diff cleanly (pinned by
-// TestPrometheusDeterministic and the golden tests).
+// histograms, each family sorted by name — byte-for-byte deterministic for
+// a given set of instrument values, so two exposures of identical state
+// diff cleanly (pinned by TestPrometheusDeterministic and the golden test).
 //
 // Dotted metric names are sanitized to the Prometheus grammar
-// ("core.handlers_scored" → "core_handlers_scored"); labeled keys from
-// Labeled keep their label body verbatim. Histograms emit the standard
-// cumulative _bucket/_sum/_count series over the package's base-2 buckets
-// (zero-delta buckets are elided; cumulative counts stay monotone) plus
-// _p50/_p90/_p99 gauge estimates so dashboards without PromQL
-// histogram_quantile still see tail latencies. A nil registry writes
-// nothing.
+// ("core.handlers_scored" → "core_handlers_scored"). Histograms emit the
+// standard cumulative _bucket/_sum/_count series over the package's
+// base-2 buckets (zero-delta buckets are elided; cumulative counts stay
+// monotone) plus _p50/_p90/_p99 gauge estimates so dashboards without
+// PromQL histogram_quantile still see tail latencies. A nil registry
+// writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -146,7 +71,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			prev = s.fam
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", s.fam, promLabels(s.labels), counters[s.key].Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", s.fam, counters[s.key].Value()); err != nil {
 			return err
 		}
 	}
@@ -158,7 +83,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			prev = s.fam
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", s.fam, promLabels(s.labels), promFloat(gauges[s.key].Value())); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", s.fam, promFloat(gauges[s.key].Value())); err != nil {
 			return err
 		}
 	}
@@ -176,10 +101,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// writePromHistogramFamily renders every label set of one histogram family:
+// writePromHistogramFamily renders every series of one histogram family:
 // first all _bucket/_sum/_count samples (one consecutive run per family, as
 // the exposition format requires), then the _p50/_p90/_p99 quantile gauge
-// families across the same label sets.
+// families across the same series.
 func writePromHistogramFamily(w io.Writer, group []promSeries, hists map[string]*Histogram) error {
 	name := group[0].fam
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
@@ -195,14 +120,12 @@ func writePromHistogramFamily(w io.Writer, group []promSeries, hists map[string]
 				continue
 			}
 			cum += n
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabelsLE(s.labels, promFloat(bucketUpper(i))), cum); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(bucketUpper(i)), cum); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
-			name, promLabelsLE(s.labels, "+Inf"), cum,
-			name, promLabels(s.labels), promFloat(st.Sum),
-			name, promLabels(s.labels), st.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+			name, cum, name, promFloat(st.Sum), name, st.Count); err != nil {
 			return err
 		}
 	}
@@ -226,7 +149,7 @@ func writePromHistogramFamily(w io.Writer, group []promSeries, hists map[string]
 				}
 				wroteType = true
 			}
-			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", name, q.suffix, promLabels(s.labels), promFloat(q.pick(st))); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, q.suffix, promFloat(q.pick(st))); err != nil {
 				return err
 			}
 		}

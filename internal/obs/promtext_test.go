@@ -144,71 +144,3 @@ func TestPrometheusDeterministic(t *testing.T) {
 		t.Errorf("nil registry exposition = %q, %v", n.String(), err)
 	}
 }
-
-// TestLabeledCanonical pins the labeled-key form federation depends on:
-// sorted keys, escaped values, order-insensitive construction.
-func TestLabeledCanonical(t *testing.T) {
-	if got := Labeled("core.handlers_scored", "worker", "2"); got != `core.handlers_scored{worker="2"}` {
-		t.Errorf("Labeled = %q", got)
-	}
-	a := Labeled("x", "b", "2", "a", "1")
-	b := Labeled("x", "a", "1", "b", "2")
-	if a != b || a != `x{a="1",b="2"}` {
-		t.Errorf("label order not canonical: %q vs %q", a, b)
-	}
-	if got := Labeled("x"); got != "x" {
-		t.Errorf("no labels should return the bare name, got %q", got)
-	}
-	if got := Labeled("x", "k", "a\\b\"c\nd"); got != `x{k="a\\b\"c\nd"}` {
-		t.Errorf("escaping = %q", got)
-	}
-}
-
-// TestPrometheusLabeledGolden pins the federated exposition byte-for-byte:
-// one # TYPE line per family with unlabeled and labeled series grouped
-// under it, histogram label bodies merged with the le bound, and quantile
-// gauges per label set.
-func TestPrometheusLabeledGolden(t *testing.T) {
-	r := New()
-	r.Counter("core.handlers_scored").Add(3)
-	r.Counter(Labeled("core.handlers_scored", "worker", "1")).Add(5)
-	r.Counter(Labeled("core.handlers_scored", "worker", "2")).Add(7)
-	r.Counter(Labeled("core.handlers_scored", "worker", "fleet")).Add(12)
-	r.Gauge(Labeled("core.best_distance", "worker", "1")).Set(2.5)
-	r.Histogram(Labeled("score.ms", "worker", "1")).Observe(0.5)
-	r.Histogram(Labeled("score.ms", "worker", "2")).Observe(1.0)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `# TYPE core_handlers_scored counter
-core_handlers_scored 3
-core_handlers_scored{worker="1"} 5
-core_handlers_scored{worker="2"} 7
-core_handlers_scored{worker="fleet"} 12
-# TYPE core_best_distance gauge
-core_best_distance{worker="1"} 2.5
-# TYPE score_ms histogram
-score_ms_bucket{worker="1",le="1"} 1
-score_ms_bucket{worker="1",le="+Inf"} 1
-score_ms_sum{worker="1"} 0.5
-score_ms_count{worker="1"} 1
-score_ms_bucket{worker="2",le="2"} 1
-score_ms_bucket{worker="2",le="+Inf"} 1
-score_ms_sum{worker="2"} 1
-score_ms_count{worker="2"} 1
-# TYPE score_ms_p50 gauge
-score_ms_p50{worker="1"} 1
-score_ms_p50{worker="2"} 2
-# TYPE score_ms_p90 gauge
-score_ms_p90{worker="1"} 1
-score_ms_p90{worker="2"} 2
-# TYPE score_ms_p99 gauge
-score_ms_p99{worker="1"} 1
-score_ms_p99{worker="2"} 2
-`
-	if got := buf.String(); got != want {
-		t.Errorf("labeled exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}

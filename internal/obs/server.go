@@ -94,7 +94,6 @@ type Mount struct {
 //	/metrics     Prometheus text exposition of the registry
 //	/runs        JSON array of live per-trace run state (the Board)
 //	/runs/{name} one run, matched by full name or base name
-//	/cluster     shard fleet snapshot (404 on single-process runs)
 //	/events      Server-Sent Events stream of the registry's event flow
 //	/flight      flight-recorder dump (JSONL, oldest first)
 //	/debug/pprof the standard pprof surface
@@ -120,7 +119,6 @@ func (r *Registry) Handler(hub *EventHub, mounts ...Mount) http.Handler {
 			"/runs                live batch state (JSON)\n"+
 			"/runs/{name}         one trace's live state\n"+
 			"/runs/{name}/funnel  one trace's pruning funnel (JSON)\n"+
-			"/cluster             shard fleet snapshot (JSON; sharded runs)\n"+
 			"/events              SSE event stream\n"+
 			"/flight              flight-recorder dump (JSONL)\n"+
 			"/debug/pprof         pprof\n"+
@@ -154,14 +152,6 @@ func (r *Registry) Handler(hub *EventHub, mounts ...Mount) http.Handler {
 		snap, ok := r.Board().Get(name)
 		if !ok {
 			http.NotFound(w, req)
-			return
-		}
-		writeJSON(w, snap)
-	})
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, req *http.Request) {
-		snap, ok := r.ClusterSnapshot()
-		if !ok {
-			http.Error(w, "no cluster attached (not a sharded run)", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, snap)

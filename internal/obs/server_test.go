@@ -134,30 +134,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/flight first line not a flight event: %v\n%s", err, body)
 	}
 
-	// /cluster 404s until a coordinator attaches its snapshot hook, then
-	// serves whatever the hook returns as JSON.
-	if resp, _ = get("/cluster"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/cluster without hook status = %d, want 404", resp.StatusCode)
-	}
-	r.SetCluster(func() any {
-		return map[string]any{"workers": []any{map[string]any{"id": 1, "last_beat_sec": 0.1}}}
-	})
-	resp, body = get("/cluster")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/cluster with hook status = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("/cluster content type = %q", ct)
-	}
-	var cluster struct {
-		Workers []struct {
-			ID int `json:"id"`
-		} `json:"workers"`
-	}
-	if err := json.Unmarshal([]byte(body), &cluster); err != nil || len(cluster.Workers) != 1 || cluster.Workers[0].ID != 1 {
-		t.Errorf("/cluster = %+v (%v)\n%s", cluster, err, body)
-	}
-
 	if resp, _ = get("/events"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/events without hub status = %d, want 503", resp.StatusCode)
 	}

@@ -37,7 +37,6 @@ type TraceEventSink struct {
 	free    map[string][]int  // lane pool: track name → returned tids
 	laneN   map[string]int    // lane pool: track name → lanes created
 	tracks  map[string]bool   // span names that open their own track
-	named   map[string]int    // AddTrackSpans: track name → tid
 	nextTid int
 	closed  bool
 }
@@ -74,7 +73,6 @@ func NewTraceEventSink(w io.Writer, trackNames ...string) *TraceEventSink {
 		free:    map[string][]int{},
 		laneN:   map[string]int{},
 		tracks:  map[string]bool{"corpus.job": true, "core.score_bucket": true},
-		named:   map[string]int{},
 	}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
@@ -158,61 +156,6 @@ func (s *TraceEventSink) newTrack(name string) int {
 	s.nextTid++
 	s.tnames[s.nextTid] = name
 	return s.nextTid
-}
-
-// TrackSpan is an externally timed complete span injected onto a named
-// track — how the shard coordinator merges clock-offset-corrected worker
-// lease spans into one fleet trace. StartSec is seconds relative to the
-// owning registry's StartTime (the same timeline Event.T uses).
-type TrackSpan struct {
-	Track    string // track (lane) name, e.g. "shard worker-02"
-	Name     string // span label, e.g. "lease 17: iter 3 (4 buckets)"
-	StartSec float64
-	DurSec   float64
-	Args     map[string]any
-}
-
-// TrackSpanSink is implemented by sinks that can absorb externally timed
-// spans. The Registry fans AddTrackSpans out to every attached sink that
-// implements it.
-type TrackSpanSink interface {
-	AddTrackSpans([]TrackSpan)
-}
-
-// AddTrackSpans appends complete ("X") events on named reusable tracks.
-// Equal Track strings share one lane, so a worker's leases line up on a
-// single timeline row. No-op after Close.
-func (s *TraceEventSink) AddTrackSpans(spans []TrackSpan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	for _, sp := range spans {
-		tid, ok := s.named[sp.Track]
-		if !ok {
-			tid = s.newTrack(sp.Track)
-			s.named[sp.Track] = tid
-		}
-		s.events = append(s.events, traceEvent{
-			Name: sp.Name, Ph: "X", Ts: sp.StartSec * 1e6, Dur: sp.DurSec * 1e6,
-			Pid: 1, Tid: tid, Args: sp.Args,
-		})
-	}
-}
-
-// AddTrackSpans forwards externally timed spans to every attached sink
-// implementing TrackSpanSink (the trace-event sink). Other sinks ignore
-// them. A nil registry or empty batch no-ops.
-func (r *Registry) AddTrackSpans(spans []TrackSpan) {
-	if r == nil || len(spans) == 0 {
-		return
-	}
-	for _, s := range r.sinks.Load().([]Sink) {
-		if ts, ok := s.(TrackSpanSink); ok {
-			ts.AddTrackSpans(spans)
-		}
-	}
 }
 
 // Close writes the buffered timeline as trace-event JSON and closes the

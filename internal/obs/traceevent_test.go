@@ -194,57 +194,3 @@ func TestTraceEventConcurrentEmit(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceEventTrackSpans pins the fleet-trace merge surface: externally
-// timed spans land as complete ("X") events on named reusable tracks, two
-// spans naming the same track share one lane, and the registry fan-out
-// reaches the sink through the TrackSpanSink interface.
-func TestTraceEventTrackSpans(t *testing.T) {
-	var buf bytes.Buffer
-	r := New()
-	r.Attach(NewTraceEventSink(&buf))
-
-	r.AddTrackSpans([]TrackSpan{
-		{Track: "shard worker-01", Name: "lease 1: iter 1 (4 buckets)", StartSec: 0.5, DurSec: 0.25, Args: map[string]any{"worker": 1, "lease": 1}},
-		{Track: "shard worker-02", Name: "lease 2: iter 1 (4 buckets)", StartSec: 0.5, DurSec: 0.30},
-		{Track: "shard worker-01", Name: "lease 3: iter 2 (2 buckets)", StartSec: 1.0, DurSec: 0.10},
-	})
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	file, threadNames := decodeTrace(t, buf.Bytes())
-	tidOf := map[string]int{}
-	for tid, name := range threadNames {
-		tidOf[name] = tid
-	}
-	if tidOf["shard worker-01"] == 0 || tidOf["shard worker-02"] == 0 {
-		t.Fatalf("worker tracks missing from thread names: %v", threadNames)
-	}
-	var xs []traceEvent
-	for _, ev := range file.TraceEvents {
-		if ev.Ph == "X" {
-			xs = append(xs, ev)
-		}
-	}
-	if len(xs) != 3 {
-		t.Fatalf("got %d X events, want 3", len(xs))
-	}
-	if xs[0].Tid != tidOf["shard worker-01"] || xs[2].Tid != tidOf["shard worker-01"] {
-		t.Error("spans naming the same track landed on different lanes")
-	}
-	if xs[0].Tid == xs[1].Tid {
-		t.Error("distinct worker tracks share a lane")
-	}
-	if xs[0].Ts != 0.5e6 || xs[0].Dur != 0.25e6 {
-		t.Errorf("span timing Ts=%v Dur=%v, want microseconds (5e5, 2.5e5)", xs[0].Ts, xs[0].Dur)
-	}
-	if xs[0].Args["worker"] == nil {
-		t.Error("span args dropped")
-	}
-
-	// A nil registry and an empty batch both no-op.
-	var nilReg *Registry
-	nilReg.AddTrackSpans([]TrackSpan{{Track: "t", Name: "n"}})
-	New().AddTrackSpans(nil)
-}

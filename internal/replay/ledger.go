@@ -28,7 +28,6 @@ import (
 // enter the sample.
 type Ledger struct {
 	cap  int
-	seed int64
 	salt uint64
 
 	// threshold caches the current max kept priority (valid once full) so
@@ -47,15 +46,10 @@ func NewLedger(capacity int, seed int64) *Ledger {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	l := &Ledger{cap: capacity, seed: seed, salt: uint64(seed) * 0x9e3779b97f4a7c15}
+	l := &Ledger{cap: capacity, salt: uint64(seed) * 0x9e3779b97f4a7c15}
 	l.threshold.Store(math.MaxUint64)
 	return l
 }
-
-// Config returns the capacity and seed the ledger was built with, so a
-// sharded worker can construct a compatible ledger: equal seeds assign
-// equal priorities, which is what makes Absorb a well-defined union.
-func (l *Ledger) Config() (capacity int, seed int64) { return l.cap, l.seed }
 
 // LedgerEntry is one sampled candidate as it appears in the JSONL dump.
 type LedgerEntry struct {
@@ -138,8 +132,8 @@ func (l *Ledger) priority(tag uint64, key string, vals []float64) uint64 {
 // Priorities key candidate identity, so a re-offer of a sampled candidate
 // (the same completion settling again in a later pass) updates its row
 // instead of duplicating it, keeping the lexicographically smaller JSON
-// encoding — the same rule Absorb applies across shards, so a sample is a
-// deterministic function of the offered candidate set either way.
+// encoding, so a sample is a deterministic function of the offered
+// candidate set.
 func (l *Ledger) offer(pri uint64, build func() LedgerEntry) {
 	if l == nil {
 		return
@@ -200,81 +194,6 @@ func (l *Ledger) Entries() []LedgerEntry {
 		out[i] = it.entry
 	}
 	return out
-}
-
-// LedgerItem is one sampled candidate with its priority — the wire shape
-// sharded workers ship so a coordinator can merge samples exactly.
-type LedgerItem struct {
-	Pri   uint64
-	Entry LedgerEntry
-}
-
-// Export returns the sample with priorities, in priority order.
-func (l *Ledger) Export() []LedgerItem {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	items := l.items.sorted()
-	l.mu.Unlock()
-	out := make([]LedgerItem, len(items))
-	for i, it := range items {
-		out[i] = LedgerItem{Pri: it.pri, Entry: it.entry}
-	}
-	return out
-}
-
-// Absorb merges another shard's exported sample in: the result is the
-// bottom-cap of the union, deduplicated by priority. Priorities key
-// candidate identity, so the same candidate offered by two workers (one
-// worker re-scored what another's memo cache would have settled) collapses
-// to one row; when the duplicates' rendered entries differ — cross-worker
-// cache effects can change the settling stage — the lexicographically
-// smaller JSON encoding is kept, so the merged sample is a deterministic
-// function of the union regardless of which worker shipped first. Absorb
-// is how a sharded run's merged ledger stays byte-stable per seed.
-func (l *Ledger) Absorb(items []LedgerItem) {
-	if l == nil || len(items) == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	byPri := make(map[uint64]int, len(l.items))
-	for i := range l.items {
-		byPri[l.items[i].pri] = i
-	}
-	for _, it := range items {
-		if i, ok := byPri[it.Pri]; ok {
-			cur, err1 := json.Marshal(l.items[i].entry)
-			inc, err2 := json.Marshal(it.Entry)
-			if err1 == nil && err2 == nil && bytes.Compare(inc, cur) < 0 {
-				l.items[i].entry = it.Entry
-			}
-			continue
-		}
-		if len(l.items) >= l.cap {
-			if it.Pri >= l.items.root() {
-				continue
-			}
-			delete(byPri, l.items[0].pri)
-			l.items[0] = ledgerItem{pri: it.Pri, entry: it.Entry}
-			heap.Fix(&l.items, 0)
-			// Fix may have moved several items; rebuilding the index lazily
-			// would complicate the loop, so re-scan (cap is small).
-			for i := range l.items {
-				byPri[l.items[i].pri] = i
-			}
-		} else {
-			heap.Push(&l.items, ledgerItem{pri: it.Pri, entry: it.Entry})
-			for i := range l.items {
-				byPri[l.items[i].pri] = i
-			}
-		}
-	}
-	if len(l.items) >= l.cap {
-		l.threshold.Store(l.items.root())
-		l.full.Store(true)
-	}
 }
 
 // WriteJSONL dumps the sample as one JSON object per line, in priority

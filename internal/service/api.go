@@ -9,9 +9,7 @@
 // The job API is versioned: every wire type in this file is part of the
 // /api/v1 contract. Backward-incompatible changes (removing or renaming a
 // JSON field, changing a state string) require a new prefix; purely
-// additive fields may ship within v1. The sharding coordinator planned in
-// the ROADMAP reuses these types unchanged — JobSpec is the unit of work
-// it will scatter, JobResult the unit it will gather.
+// additive fields may ship within v1.
 package service
 
 import (
