@@ -23,13 +23,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' . | tee bench/BENCH_$$(date -u +%Y%m%d-%H%M%S).txt
 
 # bench-compare runs the fast component micro-benchmarks (scoring, replay
-# VM, DTW, obs, pcap ingestion, batch synthesis), records them as
-# bench/BENCH_*.json, and diffs ns/op, B/op, allocs/op, and cells/op
-# against the previous snapshot — exiting nonzero when any cost metric
+# VM, DTW, obs, pcap ingestion, batch synthesis, sketch enumeration),
+# records them as bench/BENCH_*.json, and diffs ns/op, B/op, allocs/op,
+# and cells/op against the previous snapshot — exiting nonzero when any cost metric
 # regresses by more than THRESH (fraction; CI uses a looser value to
 # absorb cross-machine noise).
 THRESH ?= 0.20
 bench-compare:
 	@mkdir -p bench
-	$(GO) test -bench='ScoreHandler|ReplayProgram|ReplayClosure|DTWDistance|TraceAnalysis|Obs|PcapRead|BatchSynthesize|BatchSequential|EvalSeriesBatch' -benchmem -run='^$$' . \
+	$(GO) test -bench='ScoreHandler|ReplayProgram|ReplayClosure|DTWDistance|TraceAnalysis|Obs|PcapRead|BatchSynthesize|BatchSequential|EvalSeriesBatch|Enumerate' -benchmem -run='^$$' . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchdiff -record -dir bench -threshold $(THRESH)

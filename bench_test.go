@@ -266,6 +266,35 @@ func BenchmarkEnumerateRenoSpace(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerateBuckets drains every bucket of a DSL at the quick
+// scan budget — the enumeration one quick-scale synthesis (perfbench's
+// paper_cold op) performs. The custom metric is candidate roots
+// constructed per op, the scan-budget currency, which must not move when
+// the enumerator gets faster.
+func BenchmarkEnumerateBuckets(b *testing.B) {
+	scan := experiments.QuickScale().ScanBudget
+	for _, name := range []string{"reno", "vegas", "delay"} {
+		b.Run(name, func(b *testing.B) {
+			d, err := dsl.Named(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var candidates int64
+			for i := 0; i < b.N; i++ {
+				reg := obs.New()
+				e := &enum.Enumerator{D: d, Obs: reg}
+				for _, ops := range e.Buckets() {
+					for range e.BucketLimited(ops, scan) {
+					}
+				}
+				candidates = reg.Counter("enum.candidates").Value()
+			}
+			b.ReportMetric(float64(candidates), "candidates/op")
+		})
+	}
+}
+
 // BenchmarkAblationDesignChoices runs the DESIGN.md ablation matrix on
 // Reno traces: search metric, bucket pruning, segment selection and
 // constant-pool variants under an equal budget.

@@ -1,8 +1,12 @@
 package corpus
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
@@ -20,9 +24,13 @@ import (
 // stays 0) and serves byte-identical Take prefixes, so a job repeated
 // across a restart returns the identical handler and distance.
 //
-// Format: a gob stream of snapshotFile — a version tag, the DSL-config
-// hash the corpus was built under, and per bucket the materialized sketch
-// prefix plus its exhaustion flag. Sketch trees gob-encode directly
+// Format: a 4-byte big-endian CRC-32C (Castagnoli) of the payload, then
+// the payload, a gob stream of snapshotFile — a version tag, the
+// DSL-config hash the corpus was built under, and per bucket the
+// materialized sketch prefix plus its exhaustion flag. The checksum turns
+// a corrupted file into a load error: without it, a flipped bit in a
+// signal index or an operator decodes to a different, still well-formed
+// sketch space. Sketch trees gob-encode directly
 // (dsl.Node has only exported fields; the unexported canonical-key memo is
 // recomputed at load). Compiled register programs are NOT serialized:
 // dsl.CompileProgram is deterministic and microseconds per sketch, so the
@@ -37,8 +45,12 @@ import (
 // (temp + rename), so a crashed writer never leaves a torn file behind.
 
 // SnapshotVersion tags the on-disk format. Bump on any change to the gob
-// shape or to enumeration/canonicalization order.
-const SnapshotVersion = 1
+// shape or to enumeration/canonicalization order. Version 2 added the
+// checksum.
+const SnapshotVersion = 2
+
+// snapshotCRC is the checksum's polynomial table.
+var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // snapshotFile is the gob-encoded snapshot shape.
 type snapshotFile struct {
@@ -119,7 +131,41 @@ func (c *SketchCorpus) WriteSnapshot(w io.Writer) error {
 		})
 	}
 	sort.Slice(sf.Buckets, func(i, j int) bool { return sf.Buckets[i].Ops < sf.Buckets[j].Ops })
-	return gob.NewEncoder(w).Encode(&sf)
+	return writeSnapshotFile(w, &sf)
+}
+
+// writeSnapshotFile writes the checksum-framed gob encoding of sf.
+func writeSnapshotFile(w io.Writer, sf *snapshotFile) error {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(sf); err != nil {
+		return err
+	}
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload.Bytes(), snapshotCRC))
+	if _, err := w.Write(sum[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload.Bytes())
+	return err
+}
+
+// readSnapshotFile reads a snapshot, checks its checksum and decodes it.
+func readSnapshotFile(r io.Reader) (*snapshotFile, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: reading snapshot: %w", err)
+	}
+	if len(data) < 4 {
+		return nil, errors.New("corpus: snapshot truncated")
+	}
+	if crc32.Checksum(data[4:], snapshotCRC) != binary.BigEndian.Uint32(data) {
+		return nil, errors.New("corpus: snapshot checksum mismatch (corrupt, or older than version 2)")
+	}
+	var sf snapshotFile
+	if err := gob.NewDecoder(bytes.NewReader(data[4:])).Decode(&sf); err != nil {
+		return nil, fmt.Errorf("corpus: decoding snapshot: %w", err)
+	}
+	return &sf, nil
 }
 
 // SaveSnapshot writes the snapshot to path atomically and durably: a temp
@@ -191,18 +237,19 @@ func sweepStaleTemps(dir string) {
 }
 
 // LoadSnapshot builds a corpus for opts and restores the sketch space from
-// the gob stream. The snapshot must carry the current SnapshotVersion and
-// the exact ConfigHash of opts, and every sketch must be well-formed,
-// admitted by the DSL and stored under the bucket of its own operators;
-// anything else is an error (callers fall back to a cold New). Restored sketches have their canonical keys
-// memoized and their register programs compiled into the program cache, so
-// a subsequent run performs zero enumeration (a bucket saved
+// the snapshot stream. The snapshot must pass its checksum, carry the
+// current SnapshotVersion and the exact ConfigHash of opts, and every
+// sketch must be well-formed, admitted by the DSL and stored under the
+// bucket of its own operators; anything else is an error (callers fall
+// back to a cold New). Restored sketches have their canonical keys
+// memoized and their register programs compiled into the program cache,
+// so a subsequent run performs zero enumeration (a bucket saved
 // non-exhausted resumes its enumerator only if a Take outgrows the
 // restored prefix).
 func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
-	var sf snapshotFile
-	if err := gob.NewDecoder(r).Decode(&sf); err != nil {
-		return nil, fmt.Errorf("corpus: decoding snapshot: %w", err)
+	sf, err := readSnapshotFile(r)
+	if err != nil {
+		return nil, err
 	}
 	if sf.Version != SnapshotVersion {
 		return nil, fmt.Errorf("corpus: snapshot version %d, want %d", sf.Version, SnapshotVersion)

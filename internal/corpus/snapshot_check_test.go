@@ -2,7 +2,9 @@ package corpus
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -10,8 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-// encodeSnapshot gob-encodes a hand-built snapshot carrying the current
-// version and opts' config hash, so only its sketches can be wrong.
+// encodeSnapshot encodes a hand-built snapshot carrying the current
+// version, opts' config hash and a valid checksum, so only its sketches
+// can be wrong.
 func encodeSnapshot(t testing.TB, opts Options, buckets ...snapshotBucket) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -21,10 +24,22 @@ func encodeSnapshot(t testing.TB, opts Options, buckets ...snapshotBucket) []byt
 		DSLName: opts.DSL.Name,
 		Buckets: buckets,
 	}
-	if err := gob.NewEncoder(&buf).Encode(&sf); err != nil {
+	if err := writeSnapshotFile(&buf, &sf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// reframe returns data with its first four bytes replaced by the checksum
+// of the rest, so a corrupted payload gets past the checksum to the
+// decoder and the sketch checks.
+func reframe(data []byte) []byte {
+	if len(data) < 4 {
+		return data
+	}
+	out := bytes.Clone(data)
+	binary.BigEndian.PutUint32(out, crc32.Checksum(out[4:], snapshotCRC))
+	return out
 }
 
 // TestLoadSnapshotRejectsMalformedSketches pins the loader's validation of
@@ -94,7 +109,9 @@ func TestLoadSnapshotRejectsMalformedSketches(t *testing.T) {
 
 // FuzzLoadSnapshot feeds arbitrary bytes to the snapshot loader, seeded
 // with a real Reno snapshot and truncated and bit-flipped copies of it.
-// The invariant: an error or a corpus whose every sketch is well-formed,
+// Each input is loaded as it is and again with its checksum recomputed,
+// so mutations also reach the decoder and the sketch checks. The
+// invariant: an error or a corpus whose every sketch is well-formed,
 // never a panic.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := snapOpts(nil)
@@ -122,17 +139,82 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := LoadSnapshot(bytes.NewReader(data), opts)
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		for ops, b := range c.buckets {
-			for _, sk := range b.cache {
-				if err := checkSketch(opts.DSL, ops, sk); err != nil {
-					t.Fatalf("loaded an invalid sketch: %v", err)
+		for _, in := range [][]byte{data, reframe(data)} {
+			c, err := LoadSnapshot(bytes.NewReader(in), opts)
+			if err != nil {
+				continue
+			}
+			for ops, b := range c.buckets {
+				for _, sk := range b.cache {
+					if err := checkSketch(opts.DSL, ops, sk); err != nil {
+						t.Fatalf("loaded an invalid sketch: %v", err)
+					}
 				}
 			}
+			c.Close()
 		}
 	})
+}
+
+// TestSnapshotBitFlips flips every bit of a small Reno snapshot, one at a
+// time. Each flipped file must either fail to load or restore a corpus
+// whose every bucket serves the same Take output as the original; a flip
+// that loads a different sketch space would make a warm daemon search a
+// different space than a cold one.
+func TestSnapshotBitFlips(t *testing.T) {
+	opts := snapOpts(nil)
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 4
+	type prefix struct {
+		keys      []string
+		exhausted bool
+	}
+	want := map[dsl.OpSet]prefix{}
+	for _, ops := range c.Buckets() {
+		sks, ex := c.Take(ops, n, 0, 0)
+		p := prefix{exhausted: ex}
+		for _, sk := range sks {
+			p.keys = append(p.keys, sk.Key())
+		}
+		want[ops] = p
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+
+	loaded, changed := 0, 0
+	for bit := 0; bit < 8*len(snap); bit++ {
+		flipped := bytes.Clone(snap)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		warm, err := LoadSnapshot(bytes.NewReader(flipped), opts)
+		if err != nil {
+			continue
+		}
+		loaded++
+		for _, ops := range warm.Buckets() {
+			sks, ex := warm.Take(ops, n, 0, 0)
+			got := prefix{exhausted: ex}
+			for _, sk := range sks {
+				got.keys = append(got.keys, sk.Key())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[ops]) {
+				if changed == 0 {
+					t.Errorf("flipping bit %d loads bucket %s as %v, want %v", bit, ops, got.keys, want[ops].keys)
+				}
+				changed++
+				break
+			}
+		}
+		warm.Close()
+	}
+	if changed > 0 {
+		t.Errorf("%d of %d single-bit flips of a %d-byte snapshot loaded a different sketch space (%d loaded)",
+			changed, 8*len(snap), len(snap), loaded)
+	}
 }

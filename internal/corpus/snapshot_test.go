@@ -3,7 +3,6 @@ package corpus
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,7 +140,7 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 	// Wrong format version.
 	var vbuf bytes.Buffer
-	if err := gob.NewEncoder(&vbuf).Encode(&snapshotFile{Version: SnapshotVersion + 1}); err != nil {
+	if err := writeSnapshotFile(&vbuf, &snapshotFile{Version: SnapshotVersion + 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadSnapshot(&vbuf, snapOpts(nil)); err == nil ||

@@ -237,3 +237,27 @@ func BenchmarkEnumerateReno(b *testing.B) {
 		}
 	}
 }
+
+// TestStreamedBanksGiveTheSameStream caps the trees an enumeration may
+// bank, so that every bank (cap 0) or every bank past the first few (cap
+// 64) streams — regenerates its trees on each use, the way the generator
+// worked before banks — and checks that the yield stream and the
+// scan-budget spend of every bucket equal the fully banked run's, which
+// TestEnumerationStreamGolden pins.
+func TestStreamedBanksGiveTheSameStream(t *testing.T) {
+	for _, d := range []*dsl.DSL{dsl.Reno(), dsl.Vegas(), dsl.Delay()} {
+		banked := digestStream(d)
+		for _, limit := range []int{0, 64} {
+			func() {
+				defer func(n int) { maxBanked = n }(maxBanked)
+				maxBanked = limit
+				got := digestStream(d)
+				if got.hash != banked.hash || got.sketches != banked.sketches ||
+					bucketCandidateHash(got.perBucket) != bucketCandidateHash(banked.perBucket) ||
+					got.exhausted != banked.exhausted {
+					t.Errorf("%s, at most %d banked trees: stream %+v, want %+v", d.Name, limit, got, banked)
+				}
+			}()
+		}
+	}
+}
