@@ -94,6 +94,56 @@ func TestTable2QuickGolden(t *testing.T) {
 	}
 }
 
+// TestTable3QuickGolden pins every quick-scale Table 3 verdict — the
+// classifier's label and whether it is correct, kernel and student CCAs
+// alike — as recorded in EXPERIMENTS.md, so a change to trace analysis,
+// the reference library or the distance kernels cannot silently move a
+// Table 3 row.
+func TestTable3QuickGolden(t *testing.T) {
+	want := []struct {
+		cca, output string
+		correct     bool
+	}{
+		{"bbr", "bbr", true},
+		{"cubic", "cubic", true},
+		{"vegas", "vegas", true},
+		{"reno", "illinois", false},
+		{"bic", "bic", true},
+		{"cdg", "cdg", true},
+		{"highspeed", "illinois", false},
+		{"htcp", "htcp", true},
+		{"hybla", "hybla", true},
+		{"illinois", "cubic", false},
+		{"lp", "lp", true},
+		{"nv", "nv", true},
+		{"scalable", "scalable", true},
+		{"veno", "cubic", false},
+		{"westwood", "westwood", true},
+		{"yeah", "yeah", true},
+		{"student1", "yeah", false},
+		{"student2", "lp", false},
+		{"student3", "lp", false},
+		{"student4", "lp", false},
+		{"student5", "lp", false},
+		{"student6", "yeah", false},
+		{"student7", "scalable", false},
+	}
+	rows, err := Table3(QuickScale(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		w := want[i]
+		if r.CCA != w.cca || r.Output != w.output || r.Correct != w.correct {
+			t.Errorf("row %d: got %s -> %q (correct %v), want %s -> %q (correct %v)",
+				i, r.CCA, r.Output, r.Correct, w.cca, w.output, w.correct)
+		}
+	}
+}
+
 func TestTable2CCAList(t *testing.T) {
 	ccas := Table2CCAs()
 	if len(ccas) != 21 {
