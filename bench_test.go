@@ -455,10 +455,7 @@ func BenchmarkScoreHandlerCutoffScalarLanes(b *testing.B) { benchmarkScoreHandle
 // BenchmarkReplayProgram isolates the replay inner loop the Scorer runs per
 // candidate: Program.EvalSeries over a segment's signal columns with the
 // hoisted prologue cached, constants patched per call — no metric work.
-// BenchmarkReplayClosure replays the identical handler through the
-// dsl.Compile closure path (the pre-VM engine, still used by Synthesize)
-// so the speedup is visible in one bench run. acks/op reports the segment
-// length both loops cover.
+// acks/op reports the segment length the loop covers.
 
 // benchReplaySegment returns the longest segment of the standard reno run.
 func benchReplaySegment(b *testing.B) *trace.Segment {
@@ -542,32 +539,6 @@ func BenchmarkEvalSeriesBatch(b *testing.B) {
 			b.ReportMetric(float64(cols.N*candidates), "acks/op")
 		})
 	}
-}
-
-func BenchmarkReplayClosure(b *testing.B) {
-	seg := benchReplaySegment(b)
-	envs := replay.Envs(seg)
-	fn := dsl.Compile(dsl.MustParse("cwnd + 0.7*reno-inc"))
-	mss := seg.MSS
-	cwnd0 := math.Max(seg.Samples[0].Cwnd, mss)
-	out := make([]float64, len(envs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cwnd := cwnd0
-		var env dsl.Env
-		for j := range envs {
-			env = envs[j]
-			env.Cwnd = cwnd
-			v, ok := fn(&env)
-			if !ok {
-				b.Fatal("diverged")
-			}
-			cwnd = math.Min(math.Max(v, mss), (1<<20)*mss)
-			out[j] = cwnd / mss
-		}
-	}
-	b.ReportMetric(float64(len(envs)), "acks/op")
 }
 
 // --- Observability fast-path micro-benchmarks ---------------------------

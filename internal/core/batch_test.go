@@ -12,13 +12,14 @@ import (
 )
 
 // TestBatchMatchesScalarScoring is the lane-batched search's determinism
-// pin: a default (batched) run must be bit-for-bit the run ScalarScoring
-// produces — same winning handler, same distance bits, and a fully
-// DeepEqual SearchStats, funnel stage splits included. Workers is 1 so
-// bucket workers score sequentially: with a single worker the memo cache
-// sees an identical candidate order in both modes, so even the
-// stage-attribution split (canonical dup vs cache LB vs scored) must
-// agree, not just the mode-invariant aggregates.
+// pin: a default run (replay.Lanes completions per lane-kernel call) must
+// be bit-for-bit the run that scores one completion per call — same
+// winning handler, same distance bits, and a fully DeepEqual SearchStats,
+// funnel stage splits included. Workers is 1 so bucket workers score
+// sequentially: with a single worker the memo cache sees an identical
+// candidate order at both widths, so even the stage-attribution split
+// (canonical dup vs cache LB vs scored) must agree, not just the
+// width-invariant aggregates.
 func TestBatchMatchesScalarScoring(t *testing.T) {
 	t.Parallel()
 	segs := segmentsFor(t, "reno")
@@ -27,18 +28,15 @@ func TestBatchMatchesScalarScoring(t *testing.T) {
 		exact bool
 	}{{1, false}, {42, false}, {1, true}}
 	for _, tc := range cases {
-		batchOpts := quickOpts(dsl.Reno())
-		batchOpts.Seed = tc.seed
-		batchOpts.Workers = 1
-		batchOpts.ExactScoring = tc.exact
-		scalarOpts := batchOpts
-		scalarOpts.ScalarScoring = true
+		opts := quickOpts(dsl.Reno())
+		opts.Seed = tc.seed
+		opts.Workers = 1
 
-		batch, err := Synthesize(context.Background(), segs, batchOpts)
+		batch, err := synthesize(context.Background(), segs, opts, scoringMode{exact: tc.exact})
 		if err != nil {
 			t.Fatalf("seed %d exact=%v batch: %v", tc.seed, tc.exact, err)
 		}
-		scalar, err := Synthesize(context.Background(), segs, scalarOpts)
+		scalar, err := synthesize(context.Background(), segs, opts, scoringMode{exact: tc.exact, width: 1})
 		if err != nil {
 			t.Fatalf("seed %d exact=%v scalar: %v", tc.seed, tc.exact, err)
 		}
@@ -68,14 +66,12 @@ func TestBatchMatchesScalarScoring(t *testing.T) {
 func TestBatchMatchesScalarScoringParallel(t *testing.T) {
 	t.Parallel()
 	segs := segmentsFor(t, "reno")
-	batchOpts := quickOpts(dsl.Reno())
-	scalarOpts := batchOpts
-	scalarOpts.ScalarScoring = true
-	batch, err := Synthesize(context.Background(), segs, batchOpts)
+	opts := quickOpts(dsl.Reno())
+	batch, err := Synthesize(context.Background(), segs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Synthesize(context.Background(), segs, scalarOpts)
+	scalar, err := synthesize(context.Background(), segs, opts, scoringMode{width: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +93,18 @@ func TestBatchMatchesScalarScoringParallel(t *testing.T) {
 }
 
 // TestBatchLedgerMatchesScalar: the provenance ledger of a batched run
-// dumps byte-identical JSONL to a scalar run of the same seed — lane
+// dumps byte-identical JSONL to a width-1 run of the same seed — lane
 // packing must not change which candidates are offered or what their
 // entries record.
 func TestBatchLedgerMatchesScalar(t *testing.T) {
 	t.Parallel()
 	segs := segmentsFor(t, "reno")
-	dump := func(scalarScoring bool) []byte {
+	dump := func(width int) []byte {
 		led := replay.NewLedger(48, 7)
 		opts := quickOpts(dsl.Reno())
 		opts.Workers = 1
-		opts.ScalarScoring = scalarScoring
 		opts.Ledger = led
-		if _, err := Synthesize(context.Background(), segs, opts); err != nil {
+		if _, err := synthesize(context.Background(), segs, opts, scoringMode{width: width}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -118,7 +113,7 @@ func TestBatchLedgerMatchesScalar(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	scalar, batched := dump(true), dump(false)
+	scalar, batched := dump(1), dump(0)
 	if len(scalar) == 0 {
 		t.Fatal("scalar run offered nothing to the ledger")
 	}

@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -90,27 +89,6 @@ type Options struct {
 	// buckets stay live every iteration — an ablation knob quantifying
 	// what bucket prioritization buys.
 	NoBucketPruning bool
-	// ExactScoring disables the threshold-aware fast path (lower-bound
-	// pruning, early abandoning, and the canonical-handler memo cache):
-	// every candidate pays the full metric computation. The fast path is
-	// exact — for a fixed seed both modes return the identical result —
-	// so this is a debugging/differential-testing knob, not an accuracy
-	// one.
-	ExactScoring bool
-	// ScalarScoring disables the lane-batched scoring path: completions
-	// are scored one at a time through the scalar replay kernel instead
-	// of replay.Lanes-wide batches. The batched path is bit-identical to
-	// scalar scoring — same best handler, distances, funnel, and ledger —
-	// so like ExactScoring this is a differential-testing/debugging knob,
-	// not an accuracy one.
-	ScalarScoring bool
-	// GreedyPruning additionally lets scoring workers use the global
-	// best-so-far distance (an atomic shared across buckets) as their
-	// cutoff instead of only bucket-local state. This prunes deeper but
-	// the extra abandons depend on cross-bucket timing, so bucket
-	// rankings — and therefore which handler wins — may differ between
-	// runs of the same seed. Off by default to keep runs reproducible.
-	GreedyPruning bool
 	// Sketches, when set, supplies the run's sketch space — typically a
 	// corpus.SketchCorpus shared by every trace of a batch, so the space
 	// is enumerated, canonicalized and compiled once per DSL config
@@ -394,6 +372,24 @@ type Result struct {
 // best-so-far Result (with Stats.Interrupted set) when one exists, or
 // ctx.Err() when nothing viable was found yet.
 func Synthesize(ctx context.Context, segs []*trace.Segment, opts Options) (*Result, error) {
+	return synthesize(ctx, segs, opts, scoringMode{})
+}
+
+// scoringMode selects how a run scores candidates. The zero value is the
+// production mode; the other settings exist for the differential tests,
+// which call synthesize directly. Every setting returns the identical
+// result for a fixed seed — that is what those tests pin.
+type scoringMode struct {
+	// exact disables the threshold-aware fast path (lower-bound pruning,
+	// early abandoning, and the canonical-handler memo cache): every
+	// candidate pays the full metric computation.
+	exact bool
+	// width is how many completions share one lane-kernel call; 0 means
+	// replay.Lanes.
+	width int
+}
+
+func synthesize(ctx context.Context, segs []*trace.Segment, opts Options, mode scoringMode) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -401,6 +397,9 @@ func Synthesize(ctx context.Context, segs []*trace.Segment, opts Options) (*Resu
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	if mode.width <= 0 {
+		mode.width = replay.Lanes
+	}
 	if len(segs) == 0 {
 		return nil, errors.New("core: no trace segments")
 	}
@@ -412,6 +411,7 @@ func Synthesize(ctx context.Context, segs []*trace.Segment, opts Options) (*Resu
 	run := &runState{
 		ctx:    ctx,
 		opts:   opts,
+		mode:   mode,
 		segs:   segs,
 		segIdx: make(map[*trace.Segment]int, len(segs)),
 		rng:    rand.New(rand.NewSource(opts.Seed)),
@@ -443,6 +443,7 @@ func Synthesize(ctx context.Context, segs []*trace.Segment, opts Options) (*Resu
 type runState struct {
 	ctx    context.Context
 	opts   Options
+	mode   scoringMode
 	segs   []*trace.Segment
 	segIdx map[*trace.Segment]int
 	rng    *rand.Rand
@@ -452,8 +453,7 @@ type runState struct {
 	best    scoredHandler
 	buckets []*bucket
 
-	cache      *scoreCache
-	atomicBest atomic.Uint64 // Float64bits of best.distance, for GreedyPruning readers
+	cache *scoreCache
 
 	src     SketchSource
 	gate    Gate
@@ -475,11 +475,6 @@ type runState struct {
 	cFunnel      [NumFunnelStages]*obs.Counter
 	hScore       *obs.Histogram
 }
-
-// loadBest and storeBest shuttle the global best distance through the
-// atomic (stored as IEEE bits; the value only ever decreases).
-func (r *runState) loadBest() float64   { return math.Float64frombits(r.atomicBest.Load()) }
-func (r *runState) storeBest(d float64) { r.atomicBest.Store(math.Float64bits(d)) }
 
 // scoredHandler is a candidate with its score at evaluation time.
 type scoredHandler struct {
@@ -521,7 +516,6 @@ func (r *runState) run() (*Result, error) {
 	r.live = r.obsv.Board().Start(name, int64(r.opts.MaxHandlers))
 	r.live.SetPhase("enumerate")
 	r.best.distance = math.Inf(1)
-	r.storeBest(math.Inf(1))
 	// Publish an (empty) funnel up front so /runs/{name}/funnel resolves
 	// as soon as the run is visible, not only after the first iteration.
 	r.live.SetFunnel(r.funnelReport())
@@ -819,12 +813,12 @@ func (r *runState) segmentSetID(segs []*trace.Segment) uint64 {
 //
 // Cutoff discipline: each bucket's workers prune against bucket-local
 // state only (the bucket's best score, fixed per sketch at scoreSketch
-// entry) unless GreedyPruning opts into the shared atomic best. Pruned
-// (inexact) scores never update bucket or global bests — the exact flag
-// guards every comparison — which is what makes the fast path return the
-// identical result as ExactScoring for a fixed seed: a candidate is only
-// abandoned once its true score provably cannot improve the bucket, so
-// the sequence of bucket-best updates is the same in both modes.
+// entry), never against other buckets' progress, whose timing varies.
+// Pruned (inexact) scores never update bucket or global bests — the exact
+// flag guards every comparison — which is what makes the fast path return
+// the identical result as exact scoring for a fixed seed: a candidate is
+// only abandoned once its true score provably cannot improve the bucket,
+// so the sequence of bucket-best updates is the same in both modes.
 func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, setID uint64, parent *obs.Span) int {
 	var (
 		wg      sync.WaitGroup
@@ -891,7 +885,6 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 			sketchN += len(b.sketches)
 			if b.best.handler != nil && b.best.distance < r.best.distance {
 				r.best = b.best
-				r.storeBest(b.best.distance)
 				r.obsv.Metric("core.best_distance", b.best.distance)
 				if r.obsv != nil {
 					// The timeline's instant event for an improvement,
@@ -929,67 +922,6 @@ func budgetShare(budget, buckets int) int {
 	return (budget + buckets - 1) / buckets
 }
 
-// cutoff adjusts a bucket-local pruning threshold for the run's mode:
-// ExactScoring disables pruning outright, GreedyPruning tightens it with
-// the cross-bucket atomic best.
-func (r *runState) cutoff(c float64) float64 {
-	if r.opts.ExactScoring {
-		return math.Inf(1)
-	}
-	if r.opts.GreedyPruning {
-		if g := r.loadBest(); g < c {
-			c = g
-		}
-	}
-	return c
-}
-
-// scoreHandler scores one concrete handler over the iteration's segment
-// set, going through the canonical-handler memo cache. h is the bound tree
-// (the memo key's canonical form); cs and vals are its executable form —
-// the sketch's program with vals patched into the constant pool. Exact
-// cache hits return the true distance; lower-bound entries may only settle
-// lookups they already dominate (entry >= cutoff), otherwise the handler
-// is rescored under the caller's cutoff and the cache entry improves.
-func (r *runState) scoreHandler(h *dsl.Node, cs *replay.CompiledSketch, vals []float64, setID uint64, cutoff float64, fl *Funnel, co *replay.CandidateOutcome) (float64, bool) {
-	if r.opts.ExactScoring {
-		d, _ := r.timedScore(cs, vals, math.Inf(1), co)
-		fl.observe(co)
-		return d, true
-	}
-	key := handlerKey(h, setID)
-	if e, ok := r.cache.get(key); ok {
-		if e.exact {
-			r.cCacheHits.Inc()
-			fl.count(FunnelCanonicalDup)
-			return e.d, true
-		}
-		if e.d >= cutoff {
-			r.cCacheHits.Inc()
-			fl.count(FunnelCacheLB)
-			return e.d, false
-		}
-	}
-	r.cCacheMisses.Inc()
-	d, exact := r.timedScore(cs, vals, cutoff, co)
-	fl.observe(co)
-	r.cache.put(key, d, exact)
-	return d, exact
-}
-
-// timedScore runs one replay score, feeding the per-handler latency
-// histogram when one is registered. The clock reads are skipped entirely
-// otherwise — benchmarks and headless runs pay nothing.
-func (r *runState) timedScore(cs *replay.CompiledSketch, vals []float64, cutoff float64, co *replay.CandidateOutcome) (float64, bool) {
-	if r.hScore == nil {
-		return cs.ScoreDetail(vals, cutoff, co)
-	}
-	t0 := time.Now()
-	d, exact := cs.ScoreDetail(vals, cutoff, co)
-	r.hScore.Observe(time.Since(t0).Seconds())
-	return d, exact
-}
-
 // addFunnelCounters bulk-adds one worker-iteration's funnel into the obs
 // registry counters — a handful of atomics per bucket per iteration
 // rather than one per candidate.
@@ -1012,6 +944,9 @@ func (r *runState) addFunnelCounters(fl *Funnel) {
 // full cross product when small enough, otherwise a deterministic random
 // sample (§4.2's approximate concretization).
 func completions(sk *dsl.Node, pool []float64, holes, maxN int, seed int64) [][]float64 {
+	if holes == 0 {
+		return [][]float64{nil} // a bound handler is its own one completion
+	}
 	if len(pool) == 0 {
 		return nil
 	}

@@ -15,23 +15,22 @@ import (
 	"repro/internal/replay"
 )
 
-// TestFastPathMatchesExact is the PR's central promise: with pruning, early
-// abandoning, and the memo cache all live (the default), Synthesize must
-// return bit-for-bit the same result as with ExactScoring for a fixed seed —
-// same handler, same distance bits, same per-iteration bucket rankings.
+// TestFastPathMatchesExact is the fast path's central promise: with
+// pruning, early abandoning, and the memo cache all live (the default),
+// Synthesize must return bit-for-bit the same result as exact scoring for
+// a fixed seed — same handler, same distance bits, same per-iteration
+// bucket rankings.
 func TestFastPathMatchesExact(t *testing.T) {
 	segs := segmentsFor(t, "reno")
 	for _, seed := range []int64{1, 7, 42} {
-		fastOpts := quickOpts(dsl.Reno())
-		fastOpts.Seed = seed
-		exactOpts := fastOpts
-		exactOpts.ExactScoring = true
+		opts := quickOpts(dsl.Reno())
+		opts.Seed = seed
 
-		fast, err := Synthesize(context.Background(), segs, fastOpts)
+		fast, err := Synthesize(context.Background(), segs, opts)
 		if err != nil {
 			t.Fatalf("seed %d fast: %v", seed, err)
 		}
-		exact, err := Synthesize(context.Background(), segs, exactOpts)
+		exact, err := synthesize(context.Background(), segs, opts, scoringMode{exact: true})
 		if err != nil {
 			t.Fatalf("seed %d exact: %v", seed, err)
 		}
@@ -78,7 +77,7 @@ func TestFastPathMatchesExact(t *testing.T) {
 }
 
 // stripPruneTelemetry zeroes the per-bucket telemetry that is allowed to
-// differ between the fast path and ExactScoring: Pruned and the funnel's
+// differ between the fast path and exact scoring: Pruned and the funnel's
 // stage split both describe where candidates were settled inexactly, which
 // by construction never happens under exact scoring. The funnel keeps its
 // mode-invariant fields — Enumerated, NewBest, Bind rejections — so a
@@ -95,7 +94,7 @@ func stripPruneTelemetry(s SearchStats) SearchStats {
 }
 
 // normalizeFunnel keeps only the funnel fields that must agree between the
-// fast path and ExactScoring. The stage split (cache vs lower bound vs
+// fast path and exact scoring. The stage split (cache vs lower bound vs
 // abandon vs fully scored, and the cells they cost) is mode-dependent by
 // design; Bind rejections happen before any scoring, so they stay.
 func normalizeFunnel(f Funnel) Funnel {
@@ -153,7 +152,8 @@ func TestFastPathCacheAndPruningCounters(t *testing.T) {
 }
 
 // TestFastPathReducesDTWCells pins the acceptance criterion: the fast path
-// must at least halve DTW cells per handler scored relative to ExactScoring.
+// must at least halve DTW cells per handler scored relative to exact
+// scoring.
 func TestFastPathReducesDTWCells(t *testing.T) {
 	segs := segmentsFor(t, "reno")
 	cellsPerHandler := func(exactScoring bool) float64 {
@@ -162,8 +162,7 @@ func TestFastPathReducesDTWCells(t *testing.T) {
 		defer dist.Observe(nil)
 		opts := quickOpts(dsl.Reno())
 		opts.Obs = reg
-		opts.ExactScoring = exactScoring
-		res, err := Synthesize(context.Background(), segs, opts)
+		res, err := synthesize(context.Background(), segs, opts, scoringMode{exact: exactScoring})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,9 +129,7 @@ func TestFunnelReportShares(t *testing.T) {
 func TestRunFunnelReconciles(t *testing.T) {
 	segs := segmentsFor(t, "reno")
 	for _, exact := range []bool{false, true} {
-		opts := quickOpts(dsl.Reno())
-		opts.ExactScoring = exact
-		res, err := Synthesize(context.Background(), segs, opts)
+		res, err := synthesize(context.Background(), segs, quickOpts(dsl.Reno()), scoringMode{exact: exact})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,31 +81,26 @@ func (s *laneScratch) hasKey(key uint64) bool {
 	return false
 }
 
-// flushLanes scores the pending batch and folds each lane into the worker
-// funnel, the memo cache, and the per-assignment results. ScalarScoring
-// routes the lanes one at a time through the scalar kernel instead — the
-// K=1 oracle the batched path is pinned against.
+// flushLanes scores the pending batch through the lane kernel and folds
+// each lane into the worker funnel, the memo cache, and the
+// per-assignment results. The latency histogram, when registered, gets
+// one sample per batch; the clock reads are skipped entirely otherwise.
 func (r *runState) flushLanes(cs *replay.CompiledSketch, scr *laneScratch, fl *Funnel) {
 	k := len(scr.idx)
 	if k == 0 {
 		return
 	}
 	ds, exacts, outs := scr.ds[:k], scr.exacts[:k], scr.outs[:k]
-	switch {
-	case r.opts.ScalarScoring:
-		for l := 0; l < k; l++ {
-			ds[l], exacts[l] = r.timedScore(cs, scr.valsK[l], scr.cutoffs[l], &outs[l])
-		}
-	case r.hScore == nil:
+	if r.hScore == nil {
 		cs.ScoreBatchDetail(scr.valsK, scr.cutoffs, ds, exacts, outs)
-	default:
+	} else {
 		t0 := time.Now()
 		cs.ScoreBatchDetail(scr.valsK, scr.cutoffs, ds, exacts, outs)
 		r.hScore.Observe(time.Since(t0).Seconds())
 	}
 	for l := 0; l < k; l++ {
 		fl.observe(&outs[l])
-		if !r.opts.ExactScoring {
+		if !r.mode.exact {
 			r.cache.put(scr.keys[l], ds[l], exacts[l])
 		}
 		scr.results[scr.idx[l]] = laneResult{d: ds[l], exact: exacts[l], scored: true}
@@ -118,44 +113,36 @@ func (r *runState) flushLanes(cs *replay.CompiledSketch, scr *laneScratch, fl *F
 
 // scoreSketch concretizes a sketch's holes from the constant pool and
 // returns the best handler, its distance (with its exactness flag), and
-// the number of handlers evaluated. Completions are packed replay.Lanes
-// wide and scored through the lane-batched replay kernel (ScalarScoring
-// forces width 1 through the scalar kernel). Each candidate's fate lands
-// in fl (the worker's funnel); scr is the worker's reusable lane state.
-// Sampling is deterministic per (sketch, seed).
+// the number of handlers evaluated. Completions — a bound sketch's one
+// empty completion included — are packed the run's lane width wide
+// (replay.Lanes in production) and scored through the lane kernel. Each
+// candidate's fate lands in fl (the worker's funnel); scr is the worker's
+// reusable lane state. Sampling is deterministic per (sketch, seed).
 //
 // The pruning cutoff is fixed for the whole sketch at entry (the bucket's
-// best, adjusted for the run's mode) rather than tightened by exact
+// best; +Inf in exact mode) rather than tightened by exact
 // results mid-sketch: every completion then scores under the same cutoff
 // no matter which lanes it shares a batch with, which is what makes the
-// batched path bit-identical to scalar scoring at any K. An abandoned
-// candidate's true score still provably cannot improve the bucket (its
-// running total reached the cutoff, which is at most the bucket best), so
-// exactness — and fl.NewBest, counted in assignment order during the
-// final fold — is unchanged from ExactScoring.
+// search's result independent of the lane width. An abandoned candidate's
+// true score still provably cannot improve the bucket (its running total
+// reached the cutoff, which is at most the bucket best), so exactness —
+// and fl.NewBest, counted in assignment order during the final fold — is
+// unchanged from exact scoring.
 func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64, bucketBest float64, fl *Funnel, scr *laneScratch) (*dsl.Node, float64, bool, int) {
 	holes := sk.Holes()
 	// One register program per sketch: every completion below executes it
 	// with patched constants and shares its hoisted prologue columns.
 	cs := scorer.CompileSketch(sk)
-	cut := r.cutoff(bucketBest)
-	if holes == 0 {
-		d, exact := r.scoreHandler(sk, cs, nil, setID, cut, fl, &scr.outs[0])
-		if exact && d < bucketBest {
-			fl.NewBest++
-		}
-		return sk, d, exact, 1
+	cut := bucketBest
+	if r.mode.exact {
+		cut = math.Inf(1) // no pruning
 	}
 	pool := r.opts.DSL.Constants
 	assignments := completions(sk, pool, holes, r.opts.MaxCompletions, r.opts.Seed)
 	r.cCompletions.Add(int64(len(assignments)))
-	width := replay.Lanes
-	if r.opts.ScalarScoring {
-		width = 1
-	}
 	results := scr.reset(len(assignments))
 	for ai, vals := range assignments {
-		if r.opts.ExactScoring {
+		if r.mode.exact {
 			// Validation without binding: completions emits pool values for
 			// exactly the sketch's holes, and Bind fails only on a length
 			// mismatch — the check is equivalent, and the bound tree (unused
@@ -167,7 +154,7 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 			}
 			scr.enqueue(ai, 0, vals, math.Inf(1))
 		} else {
-			h, err := sk.Bind(vals)
+			h, err := bindHandler(sk, holes, vals)
 			if err != nil {
 				fl.count(FunnelRejected)
 				continue
@@ -176,8 +163,8 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 			if scr.hasKey(key) {
 				// A canonical duplicate of a lane already in the pending
 				// batch: flush so that lane's score lands in the cache first,
-				// and the duplicate settles below exactly as it would have in
-				// scalar candidate order.
+				// and the duplicate settles below exactly as it would have
+				// at width 1.
 				r.flushLanes(cs, scr, fl)
 			}
 			if e, ok := r.cache.get(key); ok {
@@ -197,14 +184,14 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 			r.cCacheMisses.Inc()
 			scr.enqueue(ai, key, vals, cut)
 		}
-		if len(scr.idx) == width {
+		if len(scr.idx) == r.mode.width {
 			r.flushLanes(cs, scr, fl)
 		}
 	}
 	r.flushLanes(cs, scr, fl)
 
 	// Accounting folds in assignment order once every lane has settled, so
-	// NewBest and the sketch best are those of scalar candidate order.
+	// NewBest and the sketch best do not depend on the lane width.
 	bestD := math.Inf(1)
 	bestExact := false
 	bestIdx := -1
@@ -225,7 +212,17 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 	var bestH *dsl.Node
 	if bestIdx >= 0 {
 		// Only the winning assignment needs its tree materialized.
-		bestH, _ = sk.Bind(assignments[bestIdx])
+		bestH, _ = bindHandler(sk, holes, assignments[bestIdx])
 	}
 	return bestH, bestD, bestExact, len(assignments)
+}
+
+// bindHandler is sk.Bind(vals), except that a sketch without holes is
+// returned as is: it already is the handler, and its canonical key is
+// memoized, where a copy would rebuild it.
+func bindHandler(sk *dsl.Node, holes int, vals []float64) (*dsl.Node, error) {
+	if holes == 0 && len(vals) == 0 {
+		return sk, nil
+	}
+	return sk.Bind(vals)
 }

@@ -241,11 +241,12 @@ func sweepStaleTemps(dir string) {
 // current SnapshotVersion and the exact ConfigHash of opts, and every
 // sketch must be well-formed, admitted by the DSL and stored under the
 // bucket of its own operators; anything else is an error (callers fall
-// back to a cold New). Restored sketches have their canonical keys
-// memoized and their register programs compiled into the program cache,
-// so a subsequent run performs zero enumeration (a bucket saved
-// non-exhausted resumes its enumerator only if a Take outgrows the
-// restored prefix).
+// back to a cold New). The cheap whole-file checks — version, config
+// hash, bucket keys and sizes — run before any sketch is validated or
+// compiled. Restored sketches have their canonical keys memoized and
+// their register programs compiled into the program cache, so a
+// subsequent run performs zero enumeration (a bucket saved non-exhausted
+// resumes its enumerator only if a Take outgrows the restored prefix).
 func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 	sf, err := readSnapshotFile(r)
 	if err != nil {
@@ -254,20 +255,38 @@ func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 	if sf.Version != SnapshotVersion {
 		return nil, fmt.Errorf("corpus: snapshot version %d, want %d", sf.Version, SnapshotVersion)
 	}
+	if opts.DSL == nil {
+		return nil, errors.New("corpus: Options.DSL is required")
+	}
+	if want := opts.ConfigHash(); sf.Config != want {
+		return nil, fmt.Errorf("corpus: snapshot config %s does not match %s (DSL %s)",
+			sf.Config, want, opts.DSL.Name)
+	}
 	c, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
-	if sf.Config != c.cfgHash {
-		return nil, fmt.Errorf("corpus: snapshot config %s does not match %s (DSL %s)",
-			sf.Config, c.cfgHash, opts.DSL.Name)
+	// Every bucket is checked for shape before any sketch is validated or
+	// compiled: a corpus stores each bucket once and never materializes
+	// more than BucketCap sketches of it, so a file claiming otherwise is
+	// rejected before it costs per-sketch work.
+	seen := make(map[dsl.OpSet]bool, len(sf.Buckets))
+	for _, sb := range sf.Buckets {
+		if c.buckets[sb.Ops] == nil {
+			return nil, fmt.Errorf("corpus: snapshot bucket %s not in the %s DSL's space", sb.Ops, opts.DSL.Name)
+		}
+		if seen[sb.Ops] {
+			return nil, fmt.Errorf("corpus: snapshot bucket %s appears twice", sb.Ops)
+		}
+		seen[sb.Ops] = true
+		if len(sb.Sketches) > c.bucketCap {
+			return nil, fmt.Errorf("corpus: snapshot bucket %s holds %d sketches, over the cap of %d",
+				sb.Ops, len(sb.Sketches), c.bucketCap)
+		}
 	}
 	loaded := 0
 	for _, sb := range sf.Buckets {
 		b := c.buckets[sb.Ops]
-		if b == nil {
-			return nil, fmt.Errorf("corpus: snapshot bucket %s not in the %s DSL's space", sb.Ops, opts.DSL.Name)
-		}
 		for i, sk := range sb.Sketches {
 			if err := checkSketch(opts.DSL, sb.Ops, sk); err != nil {
 				return nil, fmt.Errorf("corpus: snapshot bucket %s sketch %d: %w", sb.Ops, i, err)

@@ -107,12 +107,48 @@ func TestLoadSnapshotRejectsMalformedSketches(t *testing.T) {
 	c.Close()
 }
 
+// TestLoadSnapshotRejectsBucketShape: a bucket stored twice, or holding
+// more sketches than the corpus cap allows, is rejected even when every
+// sketch in it is well-formed: no corpus ever writes either shape.
+func TestLoadSnapshotRejectsBucketShape(t *testing.T) {
+	opts := snapOpts(nil)
+	add := dsl.OpSet(0).With(dsl.OpAdd)
+	sk := dsl.Add(dsl.Cwnd(), dsl.Hole())
+	over := make([]*dsl.Node, opts.BucketCap+1)
+	for i := range over {
+		over[i] = sk
+	}
+	for name, buckets := range map[string][]snapshotBucket{
+		"bucket stored twice": {{Ops: add, Sketches: []*dsl.Node{sk}}, {Ops: add, Sketches: []*dsl.Node{sk}}},
+		"bucket over the cap": {{Ops: add, Sketches: over}},
+	} {
+		snap := encodeSnapshot(t, opts, buckets...)
+		if c, err := LoadSnapshot(bytes.NewReader(snap), opts); err == nil {
+			c.Close()
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	// Control: exactly the cap loads.
+	snap := encodeSnapshot(t, opts, snapshotBucket{Ops: add, Sketches: over[:opts.BucketCap]})
+	c, err := LoadSnapshot(bytes.NewReader(snap), opts)
+	if err != nil {
+		t.Fatalf("bucket at the cap rejected: %v", err)
+	}
+	c.Close()
+}
+
 // FuzzLoadSnapshot feeds arbitrary bytes to the snapshot loader, seeded
 // with a real Reno snapshot and truncated and bit-flipped copies of it.
 // Each input is loaded as it is and again with its checksum recomputed,
 // so mutations also reach the decoder and the sketch checks. The
 // invariant: an error or a corpus whose every sketch is well-formed,
 // never a panic.
+//
+// Inputs are multi-kilobyte gob streams that the minimizer cannot shrink
+// (cutting any byte breaks the stream), so a time-bounded run spends up to
+// -fuzzminimizetime (60 s by default) on every new interesting input
+// without counting an exec; bound runs by count (-fuzztime 300x, as
+// `make fuzz-smoke` does) or pass a short -fuzzminimizetime.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := snapOpts(nil)
 	c, err := New(opts)

@@ -28,13 +28,16 @@ func batchCols(rows int) *Cols {
 	return cols
 }
 
-// checkBatchVsScalar runs EvalSeriesBatch on valsK and EvalSeries per lane
-// and requires bit-identical rows, ok flags, and output prefixes.
-func checkBatchVsScalar(t *testing.T, p *Program, cols *Cols, valsK [][]float64, label string) {
+// checkBatchVsScalar runs EvalSeriesBatch on valsK and requires every
+// lane — rows completed, ok flag, and output prefix — to bit-match the AST
+// oracle's replay of the same completion (n bound to that lane's
+// constants), and the scalar EvalSeries of the lane to match it too.
+func checkBatchVsScalar(t *testing.T, n *Node, cols *Cols, valsK [][]float64, label string) {
 	t.Helper()
 	const mss = 1448.0
 	lo, hi := mss, float64(1<<20)*mss
 	k := len(valsK)
+	p := CompileProgram(n)
 	pro := p.RunPrologue(cols)
 
 	outs := make([][]float64, k)
@@ -47,49 +50,54 @@ func checkBatchVsScalar(t *testing.T, p *Program, cols *Cols, valsK [][]float64,
 
 	ex := NewExec()
 	want := make([]float64, cols.N)
+	scalar := make([]float64, cols.N)
 	for l := 0; l < k; l++ {
-		for i := range want {
-			want[i] = 0
+		bound, err := n.Bind(valsK[l])
+		if err != nil {
+			t.Fatalf("%s lane %d: Bind: %v", label, l, err)
 		}
-		wr, wok := p.EvalSeries(cols, pro, valsK[l], 20*mss, lo, hi, mss, want, ex)
-		if rows[l] != wr || oks[l] != wok {
-			t.Fatalf("%s lane %d/%d: batch = (%d,%v), scalar = (%d,%v)", label, l, k, rows[l], oks[l], wr, wok)
+		wr, wok := astSeries(bound, cols, 20*mss, lo, hi, mss, want)
+		sr, sok := p.EvalSeries(cols, pro, valsK[l], 20*mss, lo, hi, mss, scalar, ex)
+		if rows[l] != wr || oks[l] != wok || sr != wr || sok != wok {
+			t.Fatalf("%s lane %d/%d: batch = (%d,%v), scalar = (%d,%v), AST = (%d,%v)",
+				label, l, k, rows[l], oks[l], sr, sok, wr, wok)
 		}
 		for i := 0; i < wr; i++ {
-			if math.Float64bits(outs[l][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s lane %d/%d row %d: batch %x != scalar %x",
-					label, l, k, i, math.Float64bits(outs[l][i]), math.Float64bits(want[i]))
+			w := math.Float64bits(want[i])
+			if math.Float64bits(outs[l][i]) != w || math.Float64bits(scalar[i]) != w {
+				t.Fatalf("%s lane %d/%d row %d: batch %x, scalar %x, AST %x", label, l, k, i,
+					math.Float64bits(outs[l][i]), math.Float64bits(scalar[i]), w)
 			}
 		}
 	}
 }
 
-// TestEvalSeriesBatchMatchesScalar pins the lane-batched VM against
-// EvalSeries for the Table 2 handlers, diverging handlers, and sketches
+// TestEvalSeriesBatchMatchesScalar pins the lane-batched VM and EvalSeries
+// against the AST oracle for the Table 2 handlers, diverging handlers, and sketches
 // with per-lane constants, across lane widths including partial batches.
 func TestEvalSeriesBatchMatchesScalar(t *testing.T) {
 	cols := batchCols(40)
 	exprs := append([]string{}, table2Exprs...)
 	exprs = append(exprs, "cwnd - 2*mss", "cwnd/0", "cwnd + rtt-gradient*ack-rate")
 	for _, src := range exprs {
-		p := CompileProgram(MustParse(src))
+		n := MustParse(src)
 		for _, k := range []int{1, 2, 8, 16} {
 			valsK := make([][]float64, k)
-			checkBatchVsScalar(t, p, cols, valsK, src)
+			checkBatchVsScalar(t, n, cols, valsK, src)
 		}
 	}
 
 	// Sketch with one hole: lanes carry different constants, including ones
 	// that diverge at different rows (negative factors drive cwnd to the lo
 	// clamp; huge ones to hi; NaN poisons immediately).
-	sk := CompileProgram(MustParse("cwnd + c1*reno-inc"))
+	sk := MustParse("cwnd + c1*reno-inc")
 	valsK := [][]float64{{1}, {0.5}, {-10}, {math.NaN()}, {1e300}, {0}, {math.Inf(1)}, {2}}
 	for _, k := range []int{1, 3, 8} {
 		checkBatchVsScalar(t, sk, cols, valsK[:k], "cwnd + c1*reno-inc")
 	}
 
 	// Two-hole conditional sketch.
-	sk2 := CompileProgram(MustParse("cwnd + ({vegas-diff < c1} ? c2*reno-inc : 0)"))
+	sk2 := MustParse("cwnd + ({vegas-diff < c1} ? c2*reno-inc : 0)")
 	vals2 := [][]float64{{0, 1}, {1e-3, 0.5}, {math.Inf(-1), 2}, {5, math.NaN()}}
 	checkBatchVsScalar(t, sk2, cols, vals2, "cond sketch")
 }
@@ -103,8 +111,9 @@ func TestEvalSeriesBatchZeroLanes(t *testing.T) {
 
 // FuzzEvalSeriesBatchVsScalar is the batch path's exactness oracle: for
 // arbitrary programs, lane widths, and per-lane constants, every lane of
-// EvalSeriesBatch must bit-match a scalar EvalSeries of the same
-// completion — rows completed, divergence flag, and output series.
+// EvalSeriesBatch (and the scalar EvalSeries of the same completion) must
+// bit-match a Node.Eval replay of that completion — rows completed,
+// divergence flag, and output series.
 func FuzzEvalSeriesBatchVsScalar(f *testing.F) {
 	f.Add([]byte("reno"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -114,7 +123,6 @@ func FuzzEvalSeriesBatchVsScalar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &fz{data: data}
 		n := genNode(fr, 0)
-		p := CompileProgram(n)
 		k := 1 + int(fr.byte()%16)
 		valsK := make([][]float64, k)
 		for l := range valsK {
@@ -124,6 +132,6 @@ func FuzzEvalSeriesBatchVsScalar(f *testing.F) {
 			}
 			valsK[l] = vals
 		}
-		checkBatchVsScalar(t, p, cols, valsK, n.String())
+		checkBatchVsScalar(t, n, cols, valsK, n.String())
 	})
 }

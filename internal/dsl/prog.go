@@ -1,10 +1,8 @@
 package dsl
 
-// Register-machine handler programs. Compile (compile.go) removes Eval's
-// per-node switch but still pays one indirect call per AST node per ACK and
-// rebuilds the whole closure tree for every constant completion of a
-// sketch. CompileProgram instead flattens the tree into a linear
-// instruction slice over a register file with a constant pool:
+// Register-machine handler programs: the only production evaluator.
+// CompileProgram flattens an expression tree into a linear instruction
+// slice over a register file with a constant pool:
 //
 //   - common subexpressions are value-numbered away (macros expand into
 //     ordinary arithmetic, so `reno-inc` and a hand-written
@@ -17,10 +15,11 @@ package dsl
 //     (sketch, segment) as whole columns — and a *suffix* re-executed per
 //     ACK with the window feedback (see EvalSeries / RunPrologue).
 //
-// Semantics are bit-identical to Node.Eval and the Compile closure path:
-// the same IEEE operations in the same per-element order, NaN poisoning
-// through comparisons and conditionals, and the same final non-finite
-// check (FuzzProgramVsEval pins all three against each other).
+// Semantics are bit-identical to Node.Eval, the AST evaluator that serves
+// as the test oracle: the same IEEE operations in the same per-element
+// order, NaN poisoning through comparisons and conditionals, and the same
+// final non-finite check (FuzzProgramVsEval pins EvalSeries against it,
+// FuzzEvalSeriesBatchVsScalar pins every lane of EvalSeriesBatch).
 
 import (
 	"math"
@@ -31,6 +30,8 @@ import (
 
 // cProgs counts compiled programs; see Observe.
 var cProgs atomic.Pointer[obs.Counter]
+
+var nan = math.NaN()
 
 // Observe routes the package's instruments to the registry:
 //
@@ -132,7 +133,7 @@ func (p *Program) PrologueLen() int { return p.nPro - p.nConst }
 // work EvalSeries repeats for every completion of the sketch.
 func (p *Program) SuffixLen() int { return len(p.insts) - p.nPro }
 
-// Exec is reusable per-call scratch for Eval/EvalSeries: the register file
+// Exec is reusable per-call scratch for EvalSeries: the register file
 // and the patched copy of the constant pool. An Exec must not be used
 // concurrently but may be shared across programs (buffers grow on demand).
 type Exec struct {
@@ -145,7 +146,7 @@ func NewExec() *Exec { return &Exec{} }
 
 // patchedPool copies the template pool into ex and fills the hole slots
 // with vals (left-to-right). A nil vals leaves holes NaN, so evaluating an
-// unpatched sketch reports ok=false — mirroring Eval/Compile on a sketch.
+// unpatched sketch reports ok=false — mirroring Node.Eval on a sketch.
 func (p *Program) patchedPool(vals []float64, ex *Exec) []float64 {
 	if cap(ex.pool) < len(p.pool) {
 		ex.pool = make([]float64, len(p.pool))
@@ -233,9 +234,9 @@ func (c *progCompiler) un(op progOp, a uint16) uint16 {
 	return c.emit(inst{op: op, a: a}, c.varying[a])
 }
 
-// num compiles a numeric expression, mirroring compileNum: anything the
-// closure path maps to a constant NaN (invalid ops, bool ops in numeric
-// position, unknown signals/macros) becomes a NaN constant here.
+// num compiles a numeric expression, mirroring Node.eval: anything the
+// AST evaluator maps to NaN (invalid ops, bool ops in numeric position,
+// unknown signals/macros) becomes a NaN constant here.
 func (c *progCompiler) num(n *Node) uint16 {
 	switch n.Op {
 	case OpCwnd:
@@ -290,8 +291,8 @@ func (c *progCompiler) num(n *Node) uint16 {
 			}
 			cr = c.bin(op, c.num(cond.Kids[0]), c.num(cond.Kids[1]))
 		} else {
-			// A non-boolean predicate always fails evaluation in the
-			// closure path (compileBool's default); poison the select.
+			// A non-boolean predicate always fails evaluation in
+			// Node.evalBool; poison the select.
 			cr = c.constReg(math.NaN())
 		}
 		t, f := c.num(n.Kids[1]), c.num(n.Kids[2])
@@ -302,7 +303,7 @@ func (c *progCompiler) num(n *Node) uint16 {
 	case OpCbrt:
 		return c.un(pCbrt, c.num(n.Kids[0]))
 	default:
-		// OpInvalid and bool operators in numeric position: compileNum
+		// OpInvalid and bool operators in numeric position: Node.eval
 		// yields NaN.
 		return c.constReg(math.NaN())
 	}
@@ -611,7 +612,7 @@ func (p *Program) RunPrologue(cols *Cols) *Prologue {
 }
 
 // Boolean steps encode the NaN-poisoned predicates as 1/0/NaN, matching
-// compileBool: a poisoned predicate (NaN operand, zero modulus) makes the
+// Node.evalBool: a poisoned predicate (NaN operand, zero modulus) makes the
 // enclosing conditional evaluate to NaN.
 
 func ltStep(x, y float64) float64 {
@@ -663,8 +664,8 @@ func selStep(c, t, f float64) float64 {
 // (computed on the fly when nil); cwnd0 seeds the window and lo/hi are the
 // replay clamp bounds. It returns the number of rows completed and
 // ok=false when the handler produced a non-finite window — the same
-// divergence rule, clamp arithmetic, and evaluation order as the closure
-// replay path, inlined into one dispatch loop.
+// divergence rule, clamp arithmetic, and evaluation order as a Node.Eval
+// replay, inlined into one dispatch loop.
 func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, lo, hi, mss float64, out []float64, ex *Exec) (int, bool) {
 	if ex == nil {
 		ex = NewExec()
@@ -766,66 +767,4 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 		out[i] = cwnd / mss
 	}
 	return n, true
-}
-
-// Eval evaluates the program at a single environment, with vals patching
-// the holes — the scalar entry point the differential tests pin against
-// Node.Eval and the Compile closure. It allocates; series scoring goes
-// through EvalSeries.
-func (p *Program) Eval(env *Env, vals []float64) (float64, bool) {
-	ex := NewExec()
-	regs := make([]float64, len(p.insts))
-	pool := p.patchedPool(vals, ex)
-	for _, in := range p.insts {
-		switch in.op {
-		case pCwnd:
-			regs[in.dst] = env.Cwnd
-		case pCol:
-			regs[in.dst] = env.signal(Signal(in.a))
-		case pConst:
-			regs[in.dst] = pool[in.a]
-		case pAdd:
-			regs[in.dst] = regs[in.a] + regs[in.b]
-		case pSub:
-			regs[in.dst] = regs[in.a] - regs[in.b]
-		case pMul:
-			regs[in.dst] = regs[in.a] * regs[in.b]
-		case pDiv:
-			regs[in.dst] = regs[in.a] / regs[in.b]
-		case pAddRMul:
-			regs[in.dst] = regs[in.a] + float64(regs[in.b]*regs[in.c])
-		case pAddRDiv:
-			regs[in.dst] = regs[in.a] + regs[in.b]/regs[in.c]
-		case pSubRMul:
-			regs[in.dst] = regs[in.a] - float64(regs[in.b]*regs[in.c])
-		case pSubRDiv:
-			regs[in.dst] = regs[in.a] - regs[in.b]/regs[in.c]
-		case pMulRMul:
-			regs[in.dst] = regs[in.a] * (regs[in.b] * regs[in.c])
-		case pMulRDiv:
-			regs[in.dst] = regs[in.a] * (regs[in.b] / regs[in.c])
-		case pDivRMul:
-			regs[in.dst] = regs[in.a] / (regs[in.b] * regs[in.c])
-		case pDivRDiv:
-			regs[in.dst] = regs[in.a] / (regs[in.b] / regs[in.c])
-		case pCube:
-			v := regs[in.a]
-			regs[in.dst] = v * v * v
-		case pCbrt:
-			regs[in.dst] = math.Cbrt(regs[in.a])
-		case pLt:
-			regs[in.dst] = ltStep(regs[in.a], regs[in.b])
-		case pGt:
-			regs[in.dst] = gtStep(regs[in.a], regs[in.b])
-		case pModEq:
-			regs[in.dst] = modEqStep(regs[in.a], regs[in.b])
-		case pSel:
-			regs[in.dst] = selStep(regs[in.a], regs[in.b], regs[in.c])
-		}
-	}
-	v := regs[p.out]
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, false
-	}
-	return v, true
 }

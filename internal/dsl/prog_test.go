@@ -3,7 +3,9 @@ package dsl
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/obs"
 )
@@ -27,24 +29,67 @@ func progEnvs() []*Env {
 	return []*Env{nominal, zeroCwnd, zeroRTT, flatRTT, nanSig, infSig, tiny}
 }
 
-// agree checks the three evaluators — Node.Eval, the Compile closure, and
-// the register VM — produce bit-identical (value, ok) at one env.
+// evalRow evaluates p at one environment through the production entry
+// point: a one-row EvalSeries seeded with e.Cwnd, with the clamp opened
+// to [-Inf, +Inf] and mss 1, so the row's output is the handler's raw
+// value.
+func evalRow(p *Program, e *Env, vals []float64) (float64, bool) {
+	cols := &Cols{N: 1}
+	for s := SigMSS; s <= SigWMax; s++ {
+		cols.Sig[s] = []float64{e.signal(s)}
+	}
+	var out [1]float64
+	_, ok := p.EvalSeries(cols, nil, vals, e.Cwnd, math.Inf(-1), math.Inf(1), 1, out[:], nil)
+	return out[0], ok
+}
+
+// rowEnv is the environment Node.Eval sees at row i of cols with the
+// given window.
+func rowEnv(cols *Cols, i int, cwnd float64) *Env {
+	return &Env{
+		Cwnd:          cwnd,
+		MSS:           cols.Sig[SigMSS][i],
+		Acked:         cols.Sig[SigAcked][i],
+		TimeSinceLoss: cols.Sig[SigTimeSinceLoss][i],
+		RTT:           cols.Sig[SigRTT][i],
+		MinRTT:        cols.Sig[SigMinRTT][i],
+		MaxRTT:        cols.Sig[SigMaxRTT][i],
+		AckRate:       cols.Sig[SigAckRate][i],
+		RTTGradient:   cols.Sig[SigRTTGradient][i],
+		WMax:          cols.Sig[SigWMax][i],
+	}
+}
+
+// astSeries is the oracle replay EvalSeries is pinned against: Node.Eval
+// per row with window feedback, replay's Min/Max clamp, and the output in
+// mss units. It returns the rows completed and ok=false on the first
+// non-finite window, like EvalSeries.
+func astSeries(n *Node, cols *Cols, cwnd0, lo, hi, mss float64, out []float64) (int, bool) {
+	cwnd := cwnd0
+	for i := 0; i < cols.N; i++ {
+		v, err := n.Eval(rowEnv(cols, i, cwnd))
+		if err != nil {
+			return i, false
+		}
+		cwnd = math.Min(math.Max(v, lo), hi)
+		out[i] = cwnd / mss
+	}
+	return cols.N, true
+}
+
+// agree checks the register VM against the AST oracle: bit-identical
+// (value, ok) at one env.
 func agree(t *testing.T, n *Node, e *Env, label string) {
 	t.Helper()
 	ev, errEv := n.Eval(e)
 	okEv := errEv == nil
-	cv, okC := Compile(n)(e)
-	p := CompileProgram(n)
-	pv, okP := p.Eval(e, nil)
-	if okEv != okC || okC != okP {
-		t.Fatalf("%s: ok mismatch: Eval %v, Compile %v, Program %v", label, okEv, okC, okP)
+	pv, okP := evalRow(CompileProgram(n), e, nil)
+	if okEv != okP {
+		t.Fatalf("%s: ok mismatch: Eval %v, Program %v", label, okEv, okP)
 	}
-	if !okEv {
-		return
-	}
-	if math.Float64bits(ev) != math.Float64bits(cv) || math.Float64bits(cv) != math.Float64bits(pv) {
-		t.Fatalf("%s: value mismatch: Eval %x, Compile %x, Program %x",
-			label, math.Float64bits(ev), math.Float64bits(cv), math.Float64bits(pv))
+	if okEv && math.Float64bits(ev) != math.Float64bits(pv) {
+		t.Fatalf("%s: value mismatch: Eval %x, Program %x",
+			label, math.Float64bits(ev), math.Float64bits(pv))
 	}
 }
 
@@ -80,15 +125,15 @@ func TestProgramHolePatching(t *testing.T) {
 			pb := CompileProgram(bound)
 			for _, e := range progEnvs() {
 				agree(t, bound, e, src)
-				v1, ok1 := ps.Eval(e, vals)
-				v2, ok2 := pb.Eval(e, nil)
+				v1, ok1 := evalRow(ps, e, vals)
+				v2, ok2 := evalRow(pb, e, nil)
 				if ok1 != ok2 || (ok1 && math.Float64bits(v1) != math.Float64bits(v2)) {
 					t.Fatalf("%q vals %v: patched (%v,%v) != bound (%v,%v)", src, vals, v1, ok1, v2, ok2)
 				}
 			}
 		}
-		// An unpatched sketch must fail evaluation, like Eval/Compile.
-		if _, ok := ps.Eval(env(), nil); ok {
+		// An unpatched sketch must fail evaluation, like Node.Eval.
+		if _, ok := evalRow(ps, env(), nil); ok {
 			t.Errorf("%q: unpatched sketch evaluated ok", src)
 		}
 	}
@@ -123,13 +168,17 @@ func TestProgramHoisting(t *testing.T) {
 }
 
 // TestProgramEvalSeries replays programs over a synthetic segment and
-// compares against a reference loop built on the Compile closure with the
-// same clamp and divergence rules.
+// compares against the AST oracle replay with the same clamp and
+// divergence rules.
 func TestProgramEvalSeries(t *testing.T) {
 	const mss = 1448.0
 	lo, hi := mss, float64(1<<20)*mss
-	envs := make([]*Env, 40)
-	for i := range envs {
+	const rows = 40
+	cols := &Cols{N: rows}
+	for s := range cols.Sig {
+		cols.Sig[s] = make([]float64, rows)
+	}
+	for i := 0; i < rows; i++ {
 		e := env()
 		e.Acked = mss * float64(1+i%3)
 		e.RTT = 0.040 + 0.001*float64(i)
@@ -137,13 +186,6 @@ func TestProgramEvalSeries(t *testing.T) {
 		if i == 25 {
 			e.AckRate = 0 // exercises divisions by zero downstream
 		}
-		envs[i] = e
-	}
-	cols := &Cols{N: len(envs)}
-	for s := range cols.Sig {
-		cols.Sig[s] = make([]float64, len(envs))
-	}
-	for i, e := range envs {
 		for s := SigMSS; s <= SigWMax; s++ {
 			cols.Sig[s][i] = e.signal(s)
 		}
@@ -152,24 +194,11 @@ func TestProgramEvalSeries(t *testing.T) {
 	exprs = append(exprs, "cwnd - 2*mss", "cwnd/0", "cwnd + rtt-gradient*ack-rate")
 	for _, src := range exprs {
 		n := MustParse(src)
-		fn := Compile(n)
-		wantOut := make([]float64, len(envs))
-		wantRows, wantOK := len(envs), true
-		cwnd := 20 * mss
-		for i := range envs {
-			e := *envs[i]
-			e.Cwnd = cwnd
-			v, ok := fn(&e)
-			if !ok {
-				wantRows, wantOK = i, false
-				break
-			}
-			cwnd = math.Min(math.Max(v, lo), hi)
-			wantOut[i] = cwnd / mss
-		}
+		wantOut := make([]float64, rows)
+		wantRows, wantOK := astSeries(n, cols, 20*mss, lo, hi, mss, wantOut)
 
 		p := CompileProgram(n)
-		gotOut := make([]float64, len(envs))
+		gotOut := make([]float64, rows)
 		pro := p.RunPrologue(cols)
 		gotRows, gotOK := p.EvalSeries(cols, pro, nil, 20*mss, lo, hi, mss, gotOut, NewExec())
 		if gotRows != wantRows || gotOK != wantOK {
@@ -178,16 +207,125 @@ func TestProgramEvalSeries(t *testing.T) {
 		}
 		for i := 0; i < wantRows; i++ {
 			if math.Float64bits(gotOut[i]) != math.Float64bits(wantOut[i]) {
-				t.Errorf("%q row %d: VM %v != closure %v", src, i, gotOut[i], wantOut[i])
+				t.Errorf("%q row %d: VM %v != AST %v", src, i, gotOut[i], wantOut[i])
 				break
 			}
 		}
 		// nil prologue and nil Exec must behave identically.
-		gotOut2 := make([]float64, len(envs))
+		gotOut2 := make([]float64, rows)
 		r2, ok2 := p.EvalSeries(cols, nil, nil, 20*mss, lo, hi, mss, gotOut2, nil)
 		if r2 != wantRows || ok2 != wantOK {
 			t.Errorf("%q: EvalSeries(nil pro) = (%d,%v), want (%d,%v)", src, r2, ok2, wantRows, wantOK)
 		}
+	}
+}
+
+// evalCorpus exercises every operator, signal and macro.
+var evalCorpus = []string{
+	"cwnd",
+	"mss",
+	"acked",
+	"time-since-loss",
+	"rtt",
+	"min-rtt",
+	"max-rtt",
+	"ack-rate",
+	"rtt-gradient",
+	"wmax",
+	"reno-inc",
+	"vegas-diff",
+	"htcp-diff",
+	"rtts-since-loss",
+	"cwnd + 0.7*reno-inc",
+	"cwnd - mss",
+	"cwnd/rtt*min-rtt",
+	"cube(time-since-loss) + cbrt(wmax)",
+	"{vegas-diff < 1} ? cwnd + mss : cwnd - mss",
+	"{vegas-diff > 5} ? mss : cwnd",
+	"min-rtt*ack-rate*({rtts-since-loss % 8 = 0} ? 2.6 : 2.05)",
+	"wmax + cube(11*time-since-loss - cbrt(0.3*wmax))",
+	"{cwnd % 2.7 = 0} ? 2.05*cwnd : mss",
+}
+
+// randEnv builds a random but physically-plausible environment.
+func randEnv(rng *rand.Rand) *Env {
+	minRTT := 0.01 + rng.Float64()*0.1
+	return &Env{
+		Cwnd:          1448 * (1 + rng.Float64()*100),
+		MSS:           1448,
+		Acked:         1448 * rng.Float64() * 4,
+		TimeSinceLoss: rng.Float64() * 20,
+		RTT:           minRTT + rng.Float64()*0.1,
+		MinRTT:        minRTT,
+		MaxRTT:        minRTT + 0.1 + rng.Float64()*0.1,
+		AckRate:       1e4 + rng.Float64()*3e6,
+		RTTGradient:   (rng.Float64() - 0.5) * 2,
+		WMax:          1448 * (1 + rng.Float64()*100),
+	}
+}
+
+// Property: the compiled register program agrees exactly with Eval on
+// every corpus expression over random environments — both value and
+// error behavior.
+func TestQuickCompileMatchesEval(t *testing.T) {
+	nodes := make([]*Node, len(evalCorpus))
+	for i, src := range evalCorpus {
+		nodes[i] = MustParse(src)
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		env := randEnv(rng)
+		for _, n := range nodes {
+			ev, everr := n.Eval(env)
+			pv, ok := evalRow(CompileProgram(n), env, nil)
+			if (everr == nil) != ok {
+				return false
+			}
+			if everr == nil && math.Float64bits(ev) != math.Float64bits(pv) {
+				// Identical operation order: must match bit-for-bit.
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCompileGuards: a compiled program reports divisions and moduli by
+// zero as evaluation failures, like Eval.
+func TestCompileGuards(t *testing.T) {
+	e := env()
+	e.Cwnd = 0
+	if _, ok := evalRow(CompileProgram(MustParse("cwnd + reno-inc")), e, nil); ok {
+		t.Error("compiled division by zero not caught")
+	}
+	if _, ok := evalRow(CompileProgram(MustParse("{cwnd % 0 = 0} ? 1 : 2")), env(), nil); ok {
+		t.Error("compiled modulo by zero not caught")
+	}
+}
+
+func BenchmarkEvalInterpreted(b *testing.B) {
+	n := MustParse("cwnd + reno-inc*({vegas-diff < 0.7} ? 0.35 : 0.16)")
+	e := env()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.Eval(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestCompileNonFinitePropagation(t *testing.T) {
+	// Inner NaN must poison the whole expression, same as Eval.
+	e := env()
+	e.RTT = math.NaN()
+	n := MustParse("cwnd + rtt*ack-rate")
+	_, everr := n.Eval(e)
+	_, ok := evalRow(CompileProgram(n), e, nil)
+	if (everr == nil) != ok {
+		t.Errorf("NaN propagation differs: eval err=%v compiled ok=%v", everr, ok)
 	}
 }
 
@@ -285,10 +423,10 @@ func genNode(f *fz, depth int) *Node {
 	}
 }
 
-// FuzzProgramVsEval is the PR's exactness oracle: for arbitrary
-// expressions and environments, the register VM must bit-match Node.Eval
-// and the Compile closure — value, ok flag, and NaN propagation — both
-// directly and through the sketch-patching path.
+// FuzzProgramVsEval is the register VM's exactness oracle: for arbitrary
+// expressions and environments, a one-row EvalSeries must bit-match
+// Node.Eval — value, ok flag, and NaN propagation — both directly and
+// through the sketch-patching path.
 func FuzzProgramVsEval(f *testing.F) {
 	f.Add([]byte("reno"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -320,8 +458,8 @@ func FuzzProgramVsEval(f *testing.F) {
 				t.Fatalf("Bind: %v", err)
 			}
 			agree(t, bound, e, bound.String())
-			v1, ok1 := CompileProgram(n).Eval(e, vals)
-			v2, ok2 := CompileProgram(bound).Eval(e, nil)
+			v1, ok1 := evalRow(CompileProgram(n), e, vals)
+			v2, ok2 := evalRow(CompileProgram(bound), e, nil)
 			if ok1 != ok2 || (ok1 && math.Float64bits(v1) != math.Float64bits(v2)) {
 				t.Fatalf("%s: patched (%v,%v) != bound (%v,%v)", n, v1, ok1, v2, ok2)
 			}

@@ -19,10 +19,11 @@ var batchLaneCases = [][]float64{
 	{1}, {0.5}, {0.1}, {0}, {-4}, {math.NaN()}, {8}, {0.25}, {1e6}, {2},
 }
 
-// TestScoreBatchDetailMatchesScalar is the scorer-level oracle: for every
-// metric, lane width, and cutoff regime, each lane of ScoreBatchDetail —
-// value, exactness flag, and full CandidateOutcome — must equal a scalar
-// ScoreDetail of the same completion bit for bit.
+// TestScoreBatchDetailMatchesScalar is the scorer-level width oracle: for
+// every metric, lane width, and cutoff regime, each lane of
+// ScoreBatchDetail — value, exactness flag, and full CandidateOutcome —
+// must equal a one-lane ScoreBatchDetail of the same completion bit for
+// bit.
 func TestScoreBatchDetailMatchesScalar(t *testing.T) {
 	segs := renoSegments(t)
 	sk := dsl.MustParse("cwnd + c1*reno-inc")
@@ -45,7 +46,7 @@ func TestScoreBatchDetailMatchesScalar(t *testing.T) {
 				cs.ScoreBatchDetail(valsK, cutoffs, ds, exacts, outs)
 				var want CandidateOutcome
 				for l := 0; l < k; l++ {
-					wd, we := cs.ScoreDetail(valsK[l], cutoffs[l], &want)
+					wd, we := scoreOne(cs, valsK[l], cutoffs[l], &want)
 					if math.Float64bits(ds[l]) != math.Float64bits(wd) || exacts[l] != we {
 						t.Fatalf("%s k=%d cutoff=%v lane %d: batch (%v,%v) != scalar (%v,%v)",
 							m.Name(), k, cutoffs[l], l, ds[l], exacts[l], wd, we)
@@ -85,7 +86,7 @@ func TestScoreBatchNilOutcomes(t *testing.T) {
 }
 
 // TestScoreBatchLedgerMatchesScalar: a ledger fed by batched scoring must
-// dump byte-identical JSONL to one fed by scalar scoring of the same
+// dump byte-identical JSONL to one fed by one-lane scoring of the same
 // candidates — the sample is a pure function of the candidate set.
 func TestScoreBatchLedgerMatchesScalar(t *testing.T) {
 	segs := renoSegments(t)
@@ -110,7 +111,7 @@ func TestScoreBatchLedgerMatchesScalar(t *testing.T) {
 		} else {
 			var co CandidateOutcome
 			for l := 0; l < k; l++ {
-				cs.ScoreDetail(laneCases[l], cutoffs[l], &co)
+				scoreOne(cs, laneCases[l], cutoffs[l], &co)
 			}
 		}
 		var buf bytes.Buffer

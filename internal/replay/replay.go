@@ -64,9 +64,10 @@ const (
 // ErrDiverged reports that the handler produced a non-finite window.
 var ErrDiverged = errors.New("replay: handler diverged (non-finite window)")
 
-// Envs precomputes the per-ACK evaluation environments of a segment. The
-// Cwnd field is a placeholder — Synthesize overwrites it with the
-// handler's own evolving state at each step.
+// Envs precomputes the per-ACK evaluation environments of a segment for
+// the AST evaluator (closed-loop replay). The Cwnd field is a placeholder —
+// the replay overwrites it with the handler's own evolving state at each
+// step.
 func Envs(seg *trace.Segment) []dsl.Env {
 	envs := make([]dsl.Env, len(seg.Samples))
 	segMin := segmentMinRTT(seg)
@@ -118,44 +119,38 @@ func segmentMinRTT(seg *trace.Segment) float64 {
 
 // Synthesize replays the handler over the segment and returns the
 // synthesized CWND series in MSS units on the segment's time grid. The
-// handler must be fully bound (no holes).
+// handler must be fully bound (no holes). It runs on the register VM —
+// the same compile, prologue and EvalSeries steps the Scorer takes — so a
+// plotted series is exactly the one that was scored.
 func Synthesize(h *dsl.Node, seg *trace.Segment) (dist.Series, error) {
-	return SynthesizeEnvs(h, seg, Envs(seg))
-}
-
-// SynthesizeEnvs is Synthesize with pre-computed environments, for callers
-// scoring many handlers against one segment.
-func SynthesizeEnvs(h *dsl.Node, seg *trace.Segment, envs []dsl.Env) (dist.Series, error) {
-	if len(envs) != len(seg.Samples) {
-		return dist.Series{}, errors.New("replay: environment count mismatch")
-	}
 	cReplays.Load().Inc()
+	n := len(seg.Samples)
 	s := dist.Series{
-		Times:  make([]float64, len(envs)),
-		Values: make([]float64, len(envs)),
+		Times:  make([]float64, n),
+		Values: make([]float64, n),
 	}
-	// The handler starts from the first observed window, like the paper's
-	// simulation which continues from the trace's state. The expression is
-	// compiled once: it will be evaluated per ACK sample.
-	cwnd := seg.Samples[0].Cwnd
-	if cwnd < seg.MSS {
-		cwnd = seg.MSS
+	if n == 0 {
+		return s, nil
 	}
-	mss := seg.MSS
-	fn := dsl.Compile(h)
-	for i := range envs {
-		env := envs[i]
-		env.Cwnd = cwnd
-		v, ok := fn(&env)
-		if !ok {
-			cDiverged.Load().Inc()
-			return dist.Series{}, ErrDiverged
-		}
-		cwnd = clamp(v, minCwndPkts*mss, maxCwndPkts*mss)
+	for i := range seg.Samples {
 		s.Times[i] = seg.Samples[i].Time.Seconds()
-		s.Values[i] = cwnd / mss
+	}
+	cols := NewCols(seg)
+	prog := dsl.CompileProgram(h)
+	mss := seg.MSS
+	if _, ok := prog.EvalSeries(cols, prog.RunPrologue(cols), nil,
+		startWindow(seg), minCwndPkts*mss, maxCwndPkts*mss, mss, s.Values, nil); !ok {
+		cDiverged.Load().Inc()
+		return dist.Series{}, ErrDiverged
 	}
 	return s, nil
+}
+
+// startWindow is the window a replay starts from: the first observed
+// window, at least one MSS, like the paper's simulation, which continues
+// from the trace's state.
+func startWindow(seg *trace.Segment) float64 {
+	return math.Max(seg.Samples[0].Cwnd, seg.MSS)
 }
 
 // clamp bounds v to [lo, hi].

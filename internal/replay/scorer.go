@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/dist"
@@ -17,8 +16,10 @@ import (
 // VM (dsl.CompileProgram): programs are cached keyed on the expression's
 // canonical form, and each program's window-free prologue columns are
 // computed once per (sketch, segment) and reused by every completion —
-// see CompileSketch. Per-candidate buffers come from a sync.Pool, so
-// concurrent scoring workers neither allocate per call nor contend.
+// see CompileSketch. Every score, single or batched, runs through the lane
+// kernel (CompiledSketch.ScoreBatchDetail); per-call buffers come from a
+// sync.Pool, so concurrent scoring workers neither allocate per call nor
+// contend.
 //
 // Score is threshold-aware: segments accumulate into a running total and
 // both the per-segment metric kernels and the cross-segment sum abandon
@@ -33,8 +34,7 @@ type Scorer struct {
 	mss      []float64
 	prepared []*dist.PreparedSeries
 	res      []*dist.Resampler // per-segment grid schedules (nil: Series path)
-	pool     sync.Pool
-	bpool    sync.Pool // batchScratch for the lane-batched path
+	pool     sync.Pool         // *batchScratch
 
 	mu    sync.Mutex
 	progs map[string]*compiledEntry
@@ -43,7 +43,7 @@ type Scorer struct {
 	// scorer's lifetime (a batch corpus); see WithPrograms.
 	progSrc ProgramSource
 
-	// ledger, when set, samples candidates scored through ScoreDetail;
+	// ledger, when set, samples candidates scored with provenance;
 	// ledgerTag salts the sample priority (core passes the segment-set
 	// fingerprint so the same candidate re-scored in a later iteration is
 	// a distinct ledger event). See WithLedger.
@@ -80,14 +80,6 @@ type compiledEntry struct {
 	pros []*dsl.Prologue
 }
 
-// scorerScratch is one worker's reusable buffers.
-type scorerScratch struct {
-	values []float64
-	grid   []float64 // candidate resampled onto the metric grid
-	dist   *dist.Scratch
-	exec   *dsl.Exec
-}
-
 // NewScorer prepares a scorer for the segment set under the metric (nil
 // means DTW, matching core's default).
 func NewScorer(segs []*trace.Segment, m dist.Metric) *Scorer {
@@ -120,7 +112,7 @@ func NewScorer(segs []*trace.Segment, m dist.Metric) *Scorer {
 		}
 		s.times[i] = times
 		if len(seg.Samples) > 0 {
-			s.cwnd0[i] = math.Max(seg.Samples[0].Cwnd, seg.MSS)
+			s.cwnd0[i] = startWindow(seg)
 		}
 		s.mss[i] = seg.MSS
 		s.prepared[i] = dist.Prepare(m, seg.Series())
@@ -128,14 +120,7 @@ func NewScorer(segs []*trace.Segment, m dist.Metric) *Scorer {
 			s.res[i] = dist.NewResampler(times) // nil when times are unsorted
 		}
 	}
-	s.pool.New = func() any {
-		return &scorerScratch{
-			grid: make([]float64, dist.ResampleN),
-			dist: dist.NewScratch(),
-			exec: dsl.NewExec(),
-		}
-	}
-	s.bpool.New = func() any { return newBatchScratch() }
+	s.pool.New = func() any { return newBatchScratch() }
 	return s
 }
 
@@ -149,7 +134,7 @@ func (s *Scorer) WithPrograms(ps ProgramSource) *Scorer {
 }
 
 // WithLedger attaches a candidate ledger: every completion scored through
-// ScoreDetail with a non-nil CandidateOutcome is offered to it under the
+// ScoreBatchDetail with CandidateOutcomes is offered to it under the
 // ledger's deterministic sampling policy. tag salts the sample priority —
 // callers scoring the same candidates in distinct rounds (core's
 // refinement iterations) pass a round fingerprint so rounds sample
@@ -233,10 +218,10 @@ func (s *Scorer) SegmentScore(h *dsl.Node, i int, cutoff float64) (float64, bool
 // CandidateOutcome is the provenance of one scored candidate: how each
 // segment settled, which stage ended the computation, and the total DP cell
 // cost. A caller-owned value is reused across candidates (Segments keeps
-// its capacity); it is only valid until the next ScoreDetail call with the
-// same value.
+// its capacity); it is only valid until the next ScoreBatchDetail call
+// with the same value.
 type CandidateOutcome struct {
-	// Distance and Exact restate ScoreDetail's return values.
+	// Distance and Exact restate the candidate's distance and exactness.
 	Distance float64
 	Exact    bool
 	// Diverged reports the replay aborted on a non-finite window (the
@@ -275,82 +260,27 @@ func (co *CandidateOutcome) settle(d float64, exact bool, stage dist.Stage, seg,
 }
 
 // Score scores one completion of the sketch (vals in Bind order; nil for a
-// bound expression) under the Scorer.Score contract.
+// bound expression) under the Scorer.Score contract: a one-lane
+// ScoreBatchDetail.
 func (cs *CompiledSketch) Score(vals []float64, cutoff float64) (float64, bool) {
-	return cs.ScoreDetail(vals, cutoff, nil)
-}
-
-// ScoreDetail is Score with per-candidate provenance: when out is non-nil
-// it is reset and filled with the candidate's stage outcomes, and the
-// candidate is offered to the scorer's ledger (when one is attached).
-// Passing a nil out is exactly Score — no provenance, no ledger traffic.
-func (cs *CompiledSketch) ScoreDetail(vals []float64, cutoff float64, out *CandidateOutcome) (float64, bool) {
-	s := cs.s
-	sc := s.pool.Get().(*scorerScratch)
-	defer s.pool.Put(sc)
-	if out != nil {
-		out.reset()
-	}
-	var total float64
-	last := len(s.segs) - 1
-	for i := range s.segs {
-		// The sub-cutoff over-approximates cutoff-total by a ulp so a
-		// segment is never abandoned when the true total is < cutoff.
-		segCut := math.Nextafter(cutoff-total, math.Inf(1))
-		d, o, diverged := cs.segmentScore(vals, i, segCut, sc)
-		if out != nil {
-			out.Segments = append(out.Segments, o)
-			out.Cells += o.Cells
-			out.Saved += o.Saved
-			out.Diverged = out.Diverged || diverged
-		}
-		if !o.Exact() {
-			total += d
-			if out != nil {
-				out.settle(total, false, o.Stage, i, o.Row)
-				cs.offer(vals, out)
-			}
-			return total, false
-		}
-		total += d
-		if math.IsInf(total, 1) {
-			if out != nil {
-				out.settle(total, true, dist.StageFull, i, 0)
-				cs.offer(vals, out)
-			}
-			return total, true
-		}
-		if total >= cutoff && i < last {
-			// Cross-segment abandon: the running sum of exact segment
-			// distances already reaches the cutoff.
-			if out != nil {
-				out.settle(total, false, dist.StageAbandon, i, 0)
-				cs.offer(vals, out)
-			}
-			return total, false
-		}
-	}
-	if out != nil {
-		out.settle(total, true, dist.StageFull, last, 0)
-		cs.offer(vals, out)
-	}
-	return total, true
+	var d [1]float64
+	var exact [1]bool
+	cs.ScoreBatchDetail([][]float64{vals}, []float64{cutoff}, d[:], exact[:], nil)
+	return d[0], exact[0]
 }
 
 // SegmentScore scores one completion against segment i alone, under the
-// same contract as Score.
+// same contract as Score: the lane kernel's per-segment step for one lane.
 func (cs *CompiledSketch) SegmentScore(vals []float64, i int, cutoff float64) (float64, bool) {
-	s := cs.s
-	sc := s.pool.Get().(*scorerScratch)
-	defer s.pool.Put(sc)
-	d, o, _ := cs.segmentScore(vals, i, cutoff, sc)
-	return d, o.Exact()
+	sc := cs.s.pool.Get().(*batchScratch)
+	defer cs.s.pool.Put(sc)
+	ds, outs, _ := cs.segmentLanes(i, []int{0}, [][]float64{vals}, []float64{cutoff}, sc)
+	return ds[0], outs[0].Exact()
 }
 
 // prologue returns segment i's hoisted output columns, computing them on
-// first use. The hit/miss counters are the PR's headline instrument: every
-// hit is a (sketch, segment) replay whose window-free arithmetic was
-// skipped entirely.
+// first use. Every hit counted is a (sketch, segment) replay whose
+// window-free arithmetic was skipped entirely.
 func (cs *CompiledSketch) prologue(i int) *dsl.Prologue {
 	e := cs.e
 	e.mu.Lock()
@@ -366,44 +296,4 @@ func (cs *CompiledSketch) prologue(i int) *dsl.Prologue {
 	e.mu.Unlock()
 	cProHits.Load().Inc()
 	return p
-}
-
-// segmentScore replays the program over segment i into sc's buffers and
-// measures the synthesized series against the prepared observed one.
-// Mirrors SynthesizeEnvs exactly (same clamping, same divergence
-// accounting) so Scorer scores match the closure path bit for bit. The
-// third result reports replay divergence (the +Inf is exact but came from
-// the VM, not the metric).
-func (cs *CompiledSketch) segmentScore(vals []float64, i int, cutoff float64, sc *scorerScratch) (float64, dist.Outcome, bool) {
-	s := cs.s
-	n := s.cols[i].N
-	if n == 0 {
-		d, o := dist.PreparedDistanceDetail(s.metric, s.prepared[i], dist.Series{}, cutoff, sc.dist)
-		return d, o, false
-	}
-	cReplays.Load().Inc()
-	if cap(sc.values) < n {
-		sc.values = make([]float64, n)
-	}
-	values := sc.values[:n]
-	prog := cs.e.prog
-	rows, ok := prog.EvalSeries(s.cols[i], cs.prologue(i), vals,
-		s.cwnd0[i], minCwndPkts*s.mss[i], maxCwndPkts*s.mss[i], s.mss[i], values, sc.exec)
-	cInstrs.Load().Add(int64(rows) * int64(prog.SuffixLen()))
-	if !ok {
-		cDiverged.Load().Inc()
-		return math.Inf(1), dist.Outcome{}, true
-	}
-	if r := s.res[i]; r != nil {
-		// The segment's time vector is fixed, so the interpolation schedule
-		// was precomputed in NewScorer: resampling a candidate is a weighted
-		// gather instead of a validate + merge per call. Values are identical
-		// to the Series path's, so scores stay bit-for-bit equal.
-		r.Into(values, sc.grid)
-		d, o := dist.PreparedDistanceDetailGrid(s.metric, s.prepared[i], sc.grid, cutoff, sc.dist)
-		return d, o, false
-	}
-	synth := dist.Series{Times: s.times[i], Values: values}
-	d, o := dist.PreparedDistanceDetail(s.metric, s.prepared[i], synth, cutoff, sc.dist)
-	return d, o, false
 }

@@ -20,13 +20,13 @@ var scorerHandlers = []string{
 	"cwnd",
 }
 
-// closureTotal is the pre-VM reference path: replay via the Compile
-// closure (SynthesizeEnvs) and measure with the metric's plain Distance.
-// The register-VM Scorer must reproduce it bit for bit.
-func closureTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
+// oracleTotal is the reference scoring path: replay through the AST
+// oracle (astSynthesize) and measure with the metric's plain Distance.
+// The Scorer must reproduce it bit for bit.
+func oracleTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
 	var total float64
 	for _, seg := range segs {
-		synth, err := SynthesizeEnvs(h, seg, Envs(seg))
+		synth, err := astSynthesize(h, seg)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -38,9 +38,10 @@ func closureTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
 	return total
 }
 
-// TestScorerMatchesClosurePath: with no cutoff, the VM-backed Score must
-// reproduce the closure replay path bit for bit for every metric on real
-// traces — the end-to-end form of the FuzzProgramVsEval exactness promise.
+// TestScorerMatchesClosurePath: with no cutoff, the Score of the register
+// VM and lane kernel must reproduce the AST-oracle path bit for bit for
+// every metric on real traces — the end-to-end form of the
+// FuzzProgramVsEval exactness promise.
 func TestScorerMatchesClosurePath(t *testing.T) {
 	segs := renoSegments(t)
 	for _, m := range dist.Metrics() {
@@ -51,15 +52,15 @@ func TestScorerMatchesClosurePath(t *testing.T) {
 			if !exact {
 				t.Fatalf("%s %q: Score(+Inf) not exact", m.Name(), src)
 			}
-			if want := closureTotal(h, segs, m); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s %q: Score %v != closure path %v", m.Name(), src, got, want)
+			if want := oracleTotal(h, segs, m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %q: Score %v != oracle path %v", m.Name(), src, got, want)
 			}
 		}
 	}
 }
 
 // TestSegmentScoreMatchesClosurePath checks the per-segment entry point
-// against the closure replay of that segment alone.
+// against the AST-oracle replay of that segment alone.
 func TestSegmentScoreMatchesClosurePath(t *testing.T) {
 	segs := renoSegments(t)
 	m := dist.DTW{}
@@ -70,8 +71,8 @@ func TestSegmentScoreMatchesClosurePath(t *testing.T) {
 		if !exact {
 			t.Fatalf("segment %d: not exact at +Inf", i)
 		}
-		if want := closureTotal(h, segs[i:i+1], m); got != want {
-			t.Errorf("segment %d: SegmentScore %v != closure %v", i, got, want)
+		if want := oracleTotal(h, segs[i:i+1], m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("segment %d: SegmentScore %v != oracle %v", i, got, want)
 		}
 	}
 }
@@ -218,6 +219,17 @@ func TestScorerNilMetricDefaultsDTW(t *testing.T) {
 	}
 }
 
+// scoreOne scores one completion with provenance: a one-lane
+// ScoreBatchDetail.
+func scoreOne(cs *CompiledSketch, vals []float64, cutoff float64, co *CandidateOutcome) (float64, bool) {
+	var d [1]float64
+	var exact [1]bool
+	outs := []CandidateOutcome{*co}
+	cs.ScoreBatchDetail([][]float64{vals}, []float64{cutoff}, d[:], exact[:], outs)
+	*co = outs[0]
+	return d[0], exact[0]
+}
+
 // TestScoreDetailOutcome pins the candidate-outcome plumbing: an uncut
 // score settles fully with one outcome per segment, a tight cutoff settles
 // inexactly at a pruning stage, and a diverging handler is flagged.
@@ -228,7 +240,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 	var co CandidateOutcome
 	h := dsl.MustParse("cwnd + reno-inc")
 	cs := sc.CompileSketch(h)
-	d, exact := cs.ScoreDetail(nil, math.Inf(1), &co)
+	d, exact := scoreOne(cs, nil, math.Inf(1), &co)
 	if !exact || !co.Exact || co.Diverged {
 		t.Fatalf("uncut score: exact=%v co=%+v", exact, co)
 	}
@@ -251,7 +263,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 	// the reset leaves no stale segments behind.
 	far := dsl.MustParse("cwnd + cwnd")
 	csFar := sc.CompileSketch(far)
-	d2, exact2 := csFar.ScoreDetail(nil, d*1e-6, &co)
+	d2, exact2 := scoreOne(csFar, nil, d*1e-6, &co)
 	if exact2 {
 		t.Fatalf("tight cutoff still exact: %v", d2)
 	}
@@ -264,7 +276,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 
 	div := dsl.MustParse("cwnd/(acked - acked)")
 	csDiv := sc.CompileSketch(div)
-	if _, _ = csDiv.ScoreDetail(nil, math.Inf(1), &co); !co.Diverged {
+	if _, _ = scoreOne(csDiv, nil, math.Inf(1), &co); !co.Diverged {
 		t.Errorf("diverging handler not flagged: %+v", co)
 	}
 	if !math.IsInf(co.Distance, 1) {
@@ -272,8 +284,8 @@ func TestScoreDetailOutcome(t *testing.T) {
 	}
 }
 
-// TestScoreDetailNilOutcome: the nil-outcome path is the plain Score and
-// stays bit-identical to the detailed one.
+// TestScoreDetailNilOutcome: scoring without provenance (Score, or nil
+// outcomes) is bit-identical to scoring with it.
 func TestScoreDetailNilOutcome(t *testing.T) {
 	segs := renoSegments(t)
 	sc := NewScorer(segs, dist.DTW{})
@@ -281,8 +293,8 @@ func TestScoreDetailNilOutcome(t *testing.T) {
 	cs := sc.CompileSketch(h)
 	var co CandidateOutcome
 	for _, cutoff := range []float64{math.Inf(1), 100, 1} {
-		d1, e1 := cs.ScoreDetail(nil, cutoff, nil)
-		d2, e2 := cs.ScoreDetail(nil, cutoff, &co)
+		d1, e1 := cs.Score(nil, cutoff)
+		d2, e2 := scoreOne(cs, nil, cutoff, &co)
 		if math.Float64bits(d1) != math.Float64bits(d2) || e1 != e2 {
 			t.Errorf("cutoff %v: nil-outcome (%v,%v) != outcome (%v,%v)", cutoff, d1, e1, d2, e2)
 		}
