@@ -14,7 +14,9 @@
 //	-record        write the parsed run as bench/BENCH_<utc-ts>.json
 //	-threshold f   regression tolerance as a fraction (default 0.20)
 //
-// Every benchmark present in both runs is compared on the cost metrics
+// A benchmark run several times (`go test -count N`, as `make
+// bench-compare` does) is recorded as the median of its samples. Every
+// benchmark present in both runs is compared on the cost metrics
 // (ns/op, B/op, allocs/op, cells/op); a metric worse by more than the
 // threshold is a regression and the exit status is 1. Sub-nanosecond
 // ns/op movements are ignored as timer noise (nsNoiseFloor) so that the
@@ -135,7 +137,10 @@ func fatal(err error) {
 //
 //	BenchmarkName-8   120   9735 ns/op   112 B/op   3 allocs/op   52 cells/op
 //
-// i.e. name, iteration count, then (value, unit) pairs.
+// i.e. name, iteration count, then (value, unit) pairs. A benchmark that
+// appears on several lines (`go test -count N`) records the median of its
+// samples for each metric, so one noisy sample neither flags nor hides a
+// regression.
 func parseBench(r io.Reader) (*snapshot, error) {
 	s := &snapshot{
 		Timestamp:  time.Now().UTC().Format("20060102-150405"),
@@ -145,6 +150,7 @@ func parseBench(r io.Reader) (*snapshot, error) {
 		s.Build = &b
 	}
 	var h host
+	samples := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -168,22 +174,38 @@ func parseBench(r io.Reader) (*snapshot, error) {
 			}
 			name = name[:i]
 		}
-		metrics := map[string]float64{}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			metrics[fields[i+1]] = v
+			if samples[name] == nil {
+				samples[name] = map[string][]float64{}
+			}
+			samples[name][fields[i+1]] = append(samples[name][fields[i+1]], v)
 		}
-		if len(metrics) > 0 {
-			s.Benchmarks[name] = metrics
+	}
+	for name, metrics := range samples {
+		s.Benchmarks[name] = map[string]float64{}
+		for unit, vs := range metrics {
+			s.Benchmarks[name][unit] = median(vs)
 		}
 	}
 	if h != (host{}) {
 		s.Host = &h
 	}
 	return s, sc.Err()
+}
+
+// median returns the middle of vs (the mean of the two middle values for
+// an even count). It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // latestSnapshot loads the newest BENCH_*.json in dir (timestamped names

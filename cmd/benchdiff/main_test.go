@@ -62,3 +62,30 @@ func TestDiffCrossHostNotice(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBenchMedianOfRepeats pins the -count handling: repeated lines
+// of one benchmark record each metric's median, not the last sample, so a
+// single outlier cannot move the snapshot.
+func TestParseBenchMedianOfRepeats(t *testing.T) {
+	const repeated = `cpu: Intel(R) Xeon(R) Processor
+BenchmarkScoreHandler-2   	    1000	   141 ns/op	 112 B/op	   3 allocs/op
+BenchmarkScoreHandler-2   	    1000	   263 ns/op	 112 B/op	   3 allocs/op
+BenchmarkScoreHandler-2   	    1000	   150 ns/op	 112 B/op	   3 allocs/op
+BenchmarkScoreHandler-2   	    1000	   148 ns/op	 120 B/op	   3 allocs/op
+BenchmarkScoreHandler-2   	    1000	   145 ns/op	 112 B/op	   3 allocs/op
+BenchmarkOther-2          	      10	   500 ns/op
+BenchmarkOther-2          	      10	   700 ns/op
+PASS
+`
+	s, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Benchmarks["BenchmarkScoreHandler"]
+	if got["ns/op"] != 148 || got["B/op"] != 112 || got["allocs/op"] != 3 {
+		t.Errorf("ScoreHandler medians = %v, want ns/op 148, B/op 112, allocs/op 3", got)
+	}
+	if v := s.Benchmarks["BenchmarkOther"]["ns/op"]; v != 600 {
+		t.Errorf("even-count median = %v, want 600", v)
+	}
+}

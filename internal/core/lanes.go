@@ -190,31 +190,48 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 	}
 	r.flushLanes(cs, scr, fl)
 
-	// Accounting folds in assignment order once every lane has settled, so
-	// NewBest and the sketch best do not depend on the lane width.
-	bestD := math.Inf(1)
-	bestExact := false
-	bestIdx := -1
-	runBest := bucketBest
-	for ai := range results {
-		res := &results[ai]
-		if !res.scored {
-			continue
-		}
-		if res.exact && res.d < runBest {
-			runBest = res.d
-			fl.NewBest++
-		}
-		if res.d < bestD {
-			bestD, bestIdx, bestExact = res.d, ai, res.exact
-		}
-	}
+	bestIdx, bestD, bestExact := foldResults(results, bucketBest, fl)
 	var bestH *dsl.Node
 	if bestIdx >= 0 {
 		// Only the winning assignment needs its tree materialized.
 		bestH, _ = bindHandler(sk, holes, assignments[bestIdx])
 	}
 	return bestH, bestD, bestExact, len(assignments)
+}
+
+// foldResults folds a sketch's settled completions in assignment order,
+// once every lane has settled, so NewBest and the sketch best do not
+// depend on the lane width. It counts into fl.NewBest each exact result
+// that improves the running best from bucketBest, and returns the sketch's
+// best: the least exact distance, or, when no completion scored exactly,
+// the least lower bound (index -1 and +Inf when nothing scored). Exact
+// results come first because a pruned bound may sit a rounding step below
+// the cutoff: folded in with them, it could take the place of an exact
+// improving completion, and the bucket would never see the improvement.
+func foldResults(results []laneResult, bucketBest float64, fl *Funnel) (int, float64, bool) {
+	bestIdx, bestD := -1, math.Inf(1)
+	boundIdx, boundD := -1, math.Inf(1)
+	runBest := bucketBest
+	for ai := range results {
+		res := &results[ai]
+		switch {
+		case !res.scored:
+		case res.exact:
+			if res.d < runBest {
+				runBest = res.d
+				fl.NewBest++
+			}
+			if res.d < bestD {
+				bestIdx, bestD = ai, res.d
+			}
+		case res.d < boundD:
+			boundIdx, boundD = ai, res.d
+		}
+	}
+	if bestIdx >= 0 {
+		return bestIdx, bestD, true
+	}
+	return boundIdx, boundD, false
 }
 
 // bindHandler is sk.Bind(vals), except that a sketch without holes is

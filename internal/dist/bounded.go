@@ -483,3 +483,85 @@ func frechetWithin(x, y []float64, cutoff float64, prev, cur []float64) (float64
 	}
 	return prev[m-1], Outcome{Stage: StageFull, Cells: n * m}
 }
+
+// Replay-time bounds. The scorer in internal/replay produces a candidate's
+// grid piece by piece while it replays the handler, and sums per-segment
+// lower bounds over a whole segment set before any kernel runs (DESIGN.md
+// §4c). The helpers below give it those bounds with the kernels' own
+// arithmetic, so a candidate they settle is one the kernels would have
+// settled no later.
+
+// HasKeogh reports whether p carries an LB_Keogh envelope over the common
+// grid — a usable series prepared for DTW — which KeoghTerms needs.
+func (p *PreparedSeries) HasKeogh() bool {
+	return p.env != nil && len(p.env.Lower) == ResampleN
+}
+
+// KeoghTerms adds the LB_Keogh terms of candidate grid points [from, to)
+// to raw, in grid order, and returns the sum. Every term is non-negative,
+// so each prefix of the sum already bounds the DTW distance (KeoghBound),
+// and summing the whole grid piecewise in order gives the same value as
+// the kernel's one pass. p must have an envelope (HasKeogh).
+func (p *PreparedSeries) KeoghTerms(y []float64, from, to int, raw float64) float64 {
+	lower := p.env.Lower[from:to]
+	upper := p.env.Upper[from:to][:len(lower)]
+	yy := y[from:to][:len(lower)]
+	for j, v := range yy {
+		if v > upper[j] {
+			raw += v - upper[j]
+		} else if v < lower[j] {
+			raw += lower[j] - v
+		}
+	}
+	return raw
+}
+
+// KeoghBound turns a KeoghTerms sum into a lower bound on the DTW distance,
+// with the kernel's safety margin and normalization.
+func (p *PreparedSeries) KeoghBound(raw float64) float64 {
+	return raw * lbKeoghSafety / float64(len(p.grid)+ResampleN)
+}
+
+// GridBound is a lower bound on m's distance from p to the complete
+// candidate grid y, from the grid alone: for DTW the larger of LB_Kim and
+// KeoghBound(raw), raw being the KeoghTerms sum over the whole grid (0
+// without an envelope); for Fréchet its endpoint bound; for Euclidean and
+// Manhattan the distance itself, since its one pass costs no more than a
+// bound would. It is 0 when p is unusable (the kernel then settles the
+// candidate) and for metrics other than the four built-ins.
+func GridBound(m Metric, p *PreparedSeries, y []float64, raw float64) float64 {
+	if !p.ok || len(y) != ResampleN {
+		return 0
+	}
+	x := p.grid
+	n, last := len(x), len(y)-1
+	switch m.(type) {
+	case DTW:
+		kim := (math.Abs(x[0]-y[0]) + math.Abs(x[n-1]-y[last])) / float64(n+len(y))
+		if p.env == nil {
+			return kim
+		}
+		return math.Max(kim, p.KeoghBound(raw))
+	case Euclidean:
+		d, _ := euclideanWithin(x, y, math.Inf(1))
+		return d
+	case Manhattan:
+		d, _ := manhattanWithin(x, y, math.Inf(1))
+		return d
+	case Frechet:
+		return math.Max(math.Abs(x[0]-y[0]), math.Abs(x[n-1]-y[last]))
+	}
+	return 0
+}
+
+// BoundSettle records one computation settled by a replay-time bound
+// before any kernel ran, counting it as the kernels count their own
+// lower-bound prunes (a DTW computation and an LB prune), and returns its
+// Outcome: StageLBKeogh, with a full pass's cells saved.
+func (p *PreparedSeries) BoundSettle() Outcome {
+	if p.env != nil {
+		cDTWCalls.Load().Inc()
+	}
+	cLBPrunes.Load().Inc()
+	return Outcome{Stage: StageLBKeogh, Saved: p.fullCells}
+}

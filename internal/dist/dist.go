@@ -181,6 +181,14 @@ func NewResampler(times []float64) *Resampler {
 // len(values) must match the time vector the Resampler was built from and
 // len(out) must be ResampleN.
 func (r *Resampler) Into(values, out []float64) {
+	r.IntoRange(values, out, 0, ResampleN)
+}
+
+// IntoRange is Into restricted to grid points [from, to): it writes only
+// out[from:to], each point bit-identical to Into's, and reads only
+// values[:r.Rows(to)]. A series still being produced can thus be resampled
+// piece by piece as its leading values become known.
+func (r *Resampler) IntoRange(values, out []float64, from, to int) {
 	if len(values) != r.n || len(out) != ResampleN {
 		panic("dist: Resampler length mismatch")
 	}
@@ -189,22 +197,39 @@ func (r *Resampler) Into(values, out []float64) {
 		if r.n > 0 {
 			v = values[0]
 		}
-		for i := range out {
+		for i := from; i < to; i++ {
 			out[i] = v
 		}
 		return
 	}
-	idx, frac := r.idx, r.frac
-	for i := range out {
+	idx, frac := r.idx[from:to], r.frac[from:to]
+	dst := out[from:to][:len(idx)]
+	for i := range dst {
 		j := idx[i]
 		f := frac[i]
 		va := values[j]
 		if f < 0 {
-			out[i] = va
+			dst[i] = va
 			continue
 		}
-		out[i] = va + f*(values[j+1]-va)
+		dst[i] = va + f*(values[j+1]-va)
 	}
+}
+
+// Rows is how many leading values grid points [0, g) read: once that many
+// values of a series are known, IntoRange can fill those points. It is
+// non-decreasing in g, and Rows(ResampleN) <= len(values).
+func (r *Resampler) Rows(g int) int {
+	if g <= 0 || r.n == 0 {
+		return 0
+	}
+	if r.bcast {
+		return 1
+	}
+	if r.frac[g-1] < 0 {
+		return int(r.idx[g-1]) + 1
+	}
+	return int(r.idx[g-1]) + 2
 }
 
 // Metric measures how far apart two congestion-window traces are. Lower is

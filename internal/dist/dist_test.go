@@ -158,6 +158,26 @@ func TestResamplerMatchesResampleInto(t *testing.T) {
 				t.Fatalf("times[%d] grid[%d]: Into %v != resampleInto %v", ti, i, got[i], want[i])
 			}
 		}
+		// Piece by piece, as a series still being produced is resampled:
+		// each range reads only values[:Rows(to)], so NaN past it must not
+		// reach the grid.
+		pieces := make([]float64, ResampleN)
+		for from := 0; from < ResampleN; from += 37 {
+			to := min(from+37, ResampleN)
+			if r.Rows(to) < r.Rows(from) || r.Rows(to) > len(values) {
+				t.Fatalf("times[%d]: Rows(%d) = %d out of order or range", ti, to, r.Rows(to))
+			}
+			known := append([]float64(nil), values...)
+			for i := r.Rows(to); i < len(known); i++ {
+				known[i] = math.NaN()
+			}
+			r.IntoRange(known, pieces, from, to)
+		}
+		for i := range want {
+			if math.Float64bits(pieces[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("times[%d] grid[%d]: IntoRange pieces %v != resampleInto %v", ti, i, pieces[i], want[i])
+			}
+		}
 		if len(times) == 0 {
 			continue
 		}

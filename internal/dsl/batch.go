@@ -25,6 +25,7 @@ type BatchExec struct {
 	regs  []float64 // (len(insts)+1) * K, lane-major: register r, lane l at [r*K+l]
 	pool  []float64 // len(pool) * K, lane-major
 	alive []bool
+	cwnds []float64 // per-lane seed windows for EvalSeriesBatch
 }
 
 // NewBatchExec returns empty scratch; buffers are sized on first use.
@@ -75,6 +76,32 @@ func (p *Program) EvalSeriesBatch(cols *Cols, pro *Prologue, valsK [][]float64, 
 	if ex == nil {
 		ex = NewBatchExec()
 	}
+	if cap(ex.cwnds) < k {
+		ex.cwnds = make([]float64, k)
+	}
+	cwnds := ex.cwnds[:k]
+	for l := range cwnds {
+		cwnds[l] = cwnd0
+	}
+	p.EvalSeriesBatchFrom(cols, pro, valsK, 0, cols.N, cwnds, lo, hi, mss, outs, rows, oks, ex)
+}
+
+// EvalSeriesBatchFrom is EvalSeriesBatch resumed mid-segment, the batch
+// form of EvalSeriesFrom: every lane replays rows [from, to) starting
+// from window cwnds[l] and writes outs[l][from:to]. On return cwnds[l]
+// holds lane l's window after its last completed row, rows[l] the row it
+// reached (to, or the row that diverged) and oks[l] whether it stayed
+// finite. The caller passes only live lanes; between calls it may drop
+// lanes and compact the rest (valsK, cwnds and outs move together), since
+// the window is all a lane carries from one row to the next.
+func (p *Program) EvalSeriesBatchFrom(cols *Cols, pro *Prologue, valsK [][]float64, from, to int, cwnds []float64, lo, hi, mss float64, outs [][]float64, rows []int, oks []bool, ex *BatchExec) {
+	k := len(valsK)
+	if k == 0 {
+		return
+	}
+	if ex == nil {
+		ex = NewBatchExec()
+	}
 	if pro == nil {
 		pro = p.RunPrologue(cols)
 	}
@@ -98,7 +125,6 @@ func (p *Program) EvalSeriesBatch(cols *Cols, pro *Prologue, valsK [][]float64, 
 		alive[l] = true
 	}
 	nAlive := k
-	n := cols.N
 	body := p.insts[p.nPro:]
 	cwndReg := len(p.insts) // the spare row
 	if len(body) > 0 && body[0].op == pCwnd {
@@ -106,12 +132,10 @@ func (p *Program) EvalSeriesBatch(cols *Cols, pro *Prologue, valsK [][]float64, 
 		body = body[1:]
 	}
 	cw := regs[cwndReg*k : cwndReg*k+k]
-	for l := range cw {
-		cw[l] = cwnd0
-	}
+	copy(cw, cwnds[:k])
 	live := p.liveIn
 	proCols := pro.cols
-	for i := 0; i < n; i++ {
+	for i := from; i < to; i++ {
 		for c, r := range live {
 			v := proCols[c][i]
 			row := regs[int(r)*k : int(r)*k+k]
@@ -265,6 +289,7 @@ func (p *Program) EvalSeriesBatch(cols *Cols, pro *Prologue, valsK [][]float64, 
 				alive[l] = false
 				rows[l] = i
 				oks[l] = false
+				cwnds[l] = cw[l]
 				nAlive--
 				continue
 			}
@@ -282,8 +307,9 @@ func (p *Program) EvalSeriesBatch(cols *Cols, pro *Prologue, valsK [][]float64, 
 	}
 	for l := 0; l < k; l++ {
 		if alive[l] {
-			rows[l] = n
+			rows[l] = to
 			oks[l] = true
+			cwnds[l] = cw[l]
 		}
 	}
 }

@@ -102,6 +102,81 @@ func TestEvalSeriesBatchMatchesScalar(t *testing.T) {
 	checkBatchVsScalar(t, sk2, cols, vals2, "cond sketch")
 }
 
+// TestEvalSeriesFromPiecesMatchWhole pins the resumable VM: replaying a
+// segment in pieces, each resuming from the windows the last one left and
+// dropping and compacting the lanes that diverged, reproduces a whole-
+// segment replay bit for bit, in the batch and the scalar forms.
+func TestEvalSeriesFromPiecesMatchWhole(t *testing.T) {
+	const mss = 1448.0
+	lo, hi := mss, float64(1<<20)*mss
+	cols := batchCols(40)
+	sk := MustParse("cwnd + c1*reno-inc")
+	p := CompileProgram(sk)
+	pro := p.RunPrologue(cols)
+	valsK := [][]float64{{1}, {0.5}, {math.NaN()}, {-10}, {1e300}, {math.Inf(1)}, {2}, {0}}
+	k := len(valsK)
+	wantOuts := make([][]float64, k)
+	for l := range wantOuts {
+		wantOuts[l] = make([]float64, cols.N)
+	}
+	wantRows, wantOKs := make([]int, k), make([]bool, k)
+	p.EvalSeriesBatch(cols, pro, valsK, 20*mss, lo, hi, mss, wantOuts, wantRows, wantOKs, nil)
+
+	cuts := []int{0, 1, 7, 8, 23, cols.N}
+	gotOuts := make([][]float64, k)
+	gotRows, gotOKs := make([]int, k), make([]bool, k)
+	live := make([]int, k)
+	cws := make([]float64, k)
+	for l := range live {
+		live[l], cws[l] = l, 20*mss
+		gotOuts[l] = make([]float64, cols.N)
+		gotRows[l], gotOKs[l] = cols.N, true
+	}
+	ex := NewBatchExec()
+	for c := 1; c < len(cuts) && len(live) > 0; c++ {
+		vals := make([][]float64, len(live))
+		outs := make([][]float64, len(live))
+		for j, l := range live {
+			vals[j], outs[j] = valsK[l], gotOuts[l]
+		}
+		rows, oks := make([]int, len(live)), make([]bool, len(live))
+		p.EvalSeriesBatchFrom(cols, pro, vals, cuts[c-1], cuts[c], cws[:len(live)], lo, hi, mss, outs, rows, oks, ex)
+		w := 0
+		for j, l := range live {
+			if !oks[j] {
+				gotRows[l], gotOKs[l] = rows[j], false
+				continue
+			}
+			if rows[j] != cuts[c] {
+				t.Fatalf("lane %d piece %d: reached row %d, want %d", l, c, rows[j], cuts[c])
+			}
+			live[w], cws[w] = l, cws[j]
+			w++
+		}
+		live = live[:w]
+	}
+	ex1 := NewExec()
+	for l := 0; l < k; l++ {
+		if gotRows[l] != wantRows[l] || gotOKs[l] != wantOKs[l] {
+			t.Fatalf("lane %d: pieces (%d,%v), whole (%d,%v)", l, gotRows[l], gotOKs[l], wantRows[l], wantOKs[l])
+		}
+		scalar := make([]float64, cols.N)
+		cw, row, ok := 20*mss, 0, true
+		for c := 1; c < len(cuts) && ok; c++ {
+			row, cw, ok = p.EvalSeriesFrom(cols, pro, valsK[l], cuts[c-1], cuts[c], cw, lo, hi, mss, scalar, ex1)
+		}
+		if row != wantRows[l] || ok != wantOKs[l] {
+			t.Fatalf("lane %d: scalar pieces (%d,%v), whole (%d,%v)", l, row, ok, wantRows[l], wantOKs[l])
+		}
+		for i := 0; i < wantRows[l]; i++ {
+			w := math.Float64bits(wantOuts[l][i])
+			if math.Float64bits(gotOuts[l][i]) != w || math.Float64bits(scalar[i]) != w {
+				t.Fatalf("lane %d row %d: batch pieces %v, scalar pieces %v, whole %v", l, i, gotOuts[l][i], scalar[i], wantOuts[l][i])
+			}
+		}
+	}
+}
+
 // TestEvalSeriesBatchZeroLanes: a zero-width batch is a no-op.
 func TestEvalSeriesBatchZeroLanes(t *testing.T) {
 	cols := batchCols(8)

@@ -667,6 +667,18 @@ func selStep(c, t, f float64) float64 {
 // divergence rule, clamp arithmetic, and evaluation order as a Node.Eval
 // replay, inlined into one dispatch loop.
 func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, lo, hi, mss float64, out []float64, ex *Exec) (int, bool) {
+	rows, _, ok := p.EvalSeriesFrom(cols, pro, vals, 0, cols.N, cwnd0, lo, hi, mss, out, ex)
+	return rows, ok
+}
+
+// EvalSeriesFrom is EvalSeries resumed mid-segment: it replays rows
+// [from, to) starting from window cwnd — the window the rows before from
+// left behind — and writes out[from:to]. It returns the row reached (to,
+// or the row that diverged), the window after the last completed row, and
+// ok. Replaying a segment in consecutive pieces, each resuming from the
+// window the previous one returned, is bit-identical to one EvalSeries
+// call: the window is the only state a row hands to the next.
+func (p *Program) EvalSeriesFrom(cols *Cols, pro *Prologue, vals []float64, from, to int, cwnd, lo, hi, mss float64, out []float64, ex *Exec) (int, float64, bool) {
 	if ex == nil {
 		ex = NewExec()
 	}
@@ -683,7 +695,6 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 	for _, in := range p.insts[:p.nConst] {
 		regs[in.dst] = pool[in.a]
 	}
-	n := cols.N
 	body := p.insts[p.nPro:]
 	cwndReg := len(p.insts) // the spare slot
 	if len(body) > 0 && body[0].op == pCwnd {
@@ -694,8 +705,7 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 	}
 	live := p.liveIn
 	proCols := pro.cols
-	cwnd := cwnd0
-	for i := 0; i < n; i++ {
+	for i := from; i < to; i++ {
 		regs[cwndReg] = cwnd
 		for k, r := range live {
 			regs[r] = proCols[k][i]
@@ -753,7 +763,7 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 		// v-v is zero exactly when v is finite (NaN and ±Inf both yield NaN),
 		// folding the IsNaN/IsInf pair into one test.
 		if v-v != 0 {
-			return i, false
+			return i, cwnd, false
 		}
 		// Same clamp as replay — Min(Max(v, lo), hi) — in branch form, which
 		// is bit-identical for finite v and positive finite lo <= hi (replay's
@@ -766,5 +776,5 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 		cwnd = v
 		out[i] = cwnd / mss
 	}
-	return n, true
+	return to, cwnd, true
 }

@@ -29,6 +29,7 @@ var (
 	cInstrs    atomic.Pointer[obs.Counter]
 	cBatches   atomic.Pointer[obs.Counter]
 	cLanes     atomic.Pointer[obs.Counter]
+	cSkipped   atomic.Pointer[obs.Counter]
 )
 
 // Observe routes the package's instruments to the registry:
@@ -38,6 +39,9 @@ var (
 //	          replay.prologue_hits / replay.prologue_misses (reuse of
 //	          hoisted per-(sketch, segment) prologue columns),
 //	          replay.instrs_executed (VM instructions run by EvalSeries),
+//	          replay.rows_skipped (VM rows that lanes settled by the
+//	          replay-time bound did not replay, over the segments of their
+//	          batch),
 //	          replay.batches_executed / replay.lanes_filled (lane-batched
 //	          scoring calls and the candidates they carried — occupancy is
 //	          lanes_filled / (batches_executed * Lanes))
@@ -51,6 +55,7 @@ func Observe(r *obs.Registry) {
 	cInstrs.Store(r.Counter("replay.instrs_executed"))
 	cBatches.Store(r.Counter("replay.batches_executed"))
 	cLanes.Store(r.Counter("replay.lanes_filled"))
+	cSkipped.Store(r.Counter("replay.rows_skipped"))
 }
 
 // Window guards: a handler may compute nonsense transiently; the replay

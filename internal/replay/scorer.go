@@ -21,10 +21,11 @@ import (
 // sync.Pool, so concurrent scoring workers neither allocate per call nor
 // contend.
 //
-// Score is threshold-aware: segments accumulate into a running total and
-// both the per-segment metric kernels and the cross-segment sum abandon
-// once the total is provably >= the cutoff. The exactness flag — not a
-// comparison against cutoff — tells the caller which case occurred.
+// Score is threshold-aware: a lower bound summed over every segment is
+// built while the handler replays, the metric kernels run only if it stays
+// under the cutoff, and they and the cross-segment sum abandon once the
+// total is provably >= the cutoff. The exactness flag — not a comparison
+// against cutoff — tells the caller which case occurred.
 type Scorer struct {
 	metric   dist.Metric
 	segs     []*trace.Segment
@@ -34,6 +35,10 @@ type Scorer struct {
 	mss      []float64
 	prepared []*dist.PreparedSeries
 	res      []*dist.Resampler // per-segment grid schedules (nil: Series path)
+	steps    [][]boundStep     // per-segment phase-1 pieces (nil: no partial bound)
+	rowSum   []int             // rowSum[i] is the row count of segments [0, i)
+	valOff   []int             // per-segment offset into a lane's replay values
+	valSpan  int               // replay values kept per lane
 	pool     sync.Pool         // *batchScratch
 
 	mu    sync.Mutex
@@ -95,6 +100,9 @@ func NewScorer(segs []*trace.Segment, m dist.Metric) *Scorer {
 		mss:      make([]float64, len(segs)),
 		prepared: make([]*dist.PreparedSeries, len(segs)),
 		res:      make([]*dist.Resampler, len(segs)),
+		steps:    make([][]boundStep, len(segs)),
+		rowSum:   make([]int, len(segs)+1),
+		valOff:   make([]int, len(segs)),
 		progs:    make(map[string]*compiledEntry),
 	}
 	// The grid fast path hands pre-resampled candidates straight to the
@@ -118,6 +126,25 @@ func NewScorer(segs []*trace.Segment, m dist.Metric) *Scorer {
 		s.prepared[i] = dist.Prepare(m, seg.Series())
 		if gridOK && len(times) > 0 {
 			s.res[i] = dist.NewResampler(times) // nil when times are unsorted
+		}
+		if s.res[i] != nil && s.prepared[i].HasKeogh() {
+			s.steps[i] = boundSteps(s.res[i], len(times))
+		}
+		s.rowSum[i+1] = s.rowSum[i] + len(times)
+	}
+	// A grid segment's replay values are resampled before the next segment
+	// replays, so grid segments share one region of a lane's values; the
+	// Series path measures the values themselves in phase 2, so each such
+	// segment keeps its own.
+	for i, r := range s.res {
+		if n := s.cols[i].N; r != nil && n > s.valSpan {
+			s.valSpan = n
+		}
+	}
+	for i, r := range s.res {
+		if r == nil {
+			s.valOff[i] = s.valSpan
+			s.valSpan += s.cols[i].N
 		}
 	}
 	s.pool.New = func() any { return newBatchScratch() }
@@ -230,18 +257,22 @@ type CandidateOutcome struct {
 	// Stage is the cascade rung that settled the candidate: StageFull for
 	// an exact score, the pruning stage otherwise. A candidate abandoned
 	// because the cross-segment running total reached the cutoff reports
-	// StageAbandon with Row 0.
+	// StageAbandon with Row 0; one settled by the replay-time bound
+	// reports StageLBKeogh.
 	Stage dist.Stage
 	// Segment is the index of the segment on which the candidate settled
 	// (the last segment scored); Row is the DP row within it (see
-	// dist.Outcome.Row).
+	// dist.Outcome.Row), or, for a replay-time bound settle, the VM row
+	// the replay stopped at.
 	Segment int
 	Row     int
 	// Cells and Saved total the DP cell cost over all segments scored.
 	Cells int
 	Saved int
-	// Segments holds the per-segment stage outcomes, one per segment
-	// scored before settling.
+	// Segments holds the per-segment stage outcomes in scoring order: one
+	// per segment the metric kernel measured, or, for a candidate the
+	// replay-time bound settled (or whose replay diverged), the one
+	// outcome of that settle.
 	Segments []dist.Outcome
 }
 
@@ -270,12 +301,12 @@ func (cs *CompiledSketch) Score(vals []float64, cutoff float64) (float64, bool) 
 }
 
 // SegmentScore scores one completion against segment i alone, under the
-// same contract as Score: the lane kernel's per-segment step for one lane.
+// same contract as Score: the lane kernel run over that one segment.
 func (cs *CompiledSketch) SegmentScore(vals []float64, i int, cutoff float64) (float64, bool) {
-	sc := cs.s.pool.Get().(*batchScratch)
-	defer cs.s.pool.Put(sc)
-	ds, outs, _ := cs.segmentLanes(i, []int{0}, [][]float64{vals}, []float64{cutoff}, sc)
-	return ds[0], outs[0].Exact()
+	var d [1]float64
+	var exact [1]bool
+	cs.scoreSegments(i, i+1, [][]float64{vals}, []float64{cutoff}, d[:], exact[:], nil)
+	return d[0], exact[0]
 }
 
 // prologue returns segment i's hoisted output columns, computing them on
